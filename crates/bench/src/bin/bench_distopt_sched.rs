@@ -1,96 +1,142 @@
 //! Produces `BENCH_distopt_sched.json`: wall-clock of one `DistOpt` pass
-//! under the persistent worker pool with static-chunk vs work-stealing
-//! scheduling at 1/2/8 threads, on a ~5k-instance design.
+//! at 1 thread and at the host's available parallelism, on a
+//! ~5k-instance design.
 //!
-//! Every configuration produces a bit-identical placement (asserted via
-//! digest); only wall-clock and the scheduler gauges differ. The JSON
-//! records the minimum per-pass time of `--iters` runs per configuration
-//! plus the 8-thread work-stealing speedup over static chunking.
+//! Both thread counts must produce the same placement (asserted via
+//! digest). Each row records the median and quartiles of `--iters` timed
+//! passes after one untimed warm-up pass. `--baseline FILE` copies the
+//! rows of an artifact this binary wrote for another build (e.g. the
+//! parent commit) into the new one as `"build": "baseline"` rows, after
+//! checking that its placement digest matches.
 //!
 //! ```text
 //! cargo run --release -p vm1-bench --bin bench_distopt_sched -- \
-//!     [--insts N] [--iters K] [--out FILE]
+//!     [--insts N] [--iters K] [--baseline FILE] [--out FILE]
 //! ```
 
 use std::time::Instant;
-use vm1_bench::sched_bench::{bench_design, bench_params, placement_digest, SchedSession};
-use vm1_core::SchedPolicy;
+use vm1_bench::sched_bench::{bench_config, bench_design, bench_params, placement_digest};
+use vm1_core::Vm1Optimizer;
+
+const USAGE: &str =
+    "usage: bench_distopt_sched [--insts N] [--iters K] [--baseline FILE] [--out FILE]";
+
+fn fail(msg: &str) -> ! {
+    eprintln!("{USAGE}\nerror: {msg}");
+    std::process::exit(2);
+}
+
+/// Linear-interpolated quantile of ascending `xs` (non-empty).
+fn quantile(xs: &[f64], q: f64) -> f64 {
+    let pos = q * (xs.len() - 1) as f64;
+    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+    xs[lo] + (xs[hi] - xs[lo]) * (pos - lo as f64)
+}
+
+fn rustc_version() -> String {
+    std::process::Command::new("rustc")
+        .arg("--version")
+        .output()
+        .ok()
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or_else(|| "unknown".into(), |v| v.trim().to_string())
+}
 
 fn main() {
     let mut insts = 5000usize;
-    let mut iters = 3usize;
+    let mut iters = 5usize;
+    let mut baseline: Option<String> = None;
     let mut out = String::from("BENCH_distopt_sched.json");
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        let mut val = |name: &str| -> &String {
-            it.next().unwrap_or_else(|| {
-                eprintln!("error: {name} needs a value");
-                std::process::exit(2);
-            })
+        let mut val = |name: &str| -> String {
+            it.next()
+                .unwrap_or_else(|| fail(&format!("{name} needs a value")))
+                .clone()
         };
         match a.as_str() {
-            "--insts" => insts = val("--insts").parse().expect("bad --insts"),
-            "--iters" => iters = val("--iters").parse().expect("bad --iters"),
-            "--out" => out = val("--out").clone(),
-            other => {
-                eprintln!("usage: bench_distopt_sched [--insts N] [--iters K] [--out FILE]");
-                eprintln!("error: unknown argument {other}");
-                std::process::exit(2);
+            "--insts" => {
+                insts = val("--insts")
+                    .parse()
+                    .unwrap_or_else(|_| fail("bad --insts"));
             }
+            "--iters" => {
+                iters = val("--iters")
+                    .parse()
+                    .unwrap_or_else(|_| fail("bad --iters"));
+            }
+            "--baseline" => baseline = Some(val("--baseline")),
+            "--out" => out = val("--out"),
+            other => fail(&format!("unknown argument {other}")),
         }
     }
+    if iters == 0 {
+        fail("--iters must be positive");
+    }
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
 
     eprintln!("generating {insts}-instance benchmark design...");
     let base = bench_design(insts);
     let p = bench_params(&base);
 
-    let configs = [
-        ("static", SchedPolicy::StaticChunk, 1usize),
-        ("worksteal", SchedPolicy::WorkSteal, 1),
-        ("static", SchedPolicy::StaticChunk, 2),
-        ("worksteal", SchedPolicy::WorkSteal, 2),
-        ("static", SchedPolicy::StaticChunk, 8),
-        ("worksteal", SchedPolicy::WorkSteal, 8),
-    ];
-
-    let mut results = Vec::new();
+    let mut rows = Vec::new();
     let mut digest: Option<u64> = None;
-    for (name, sched, threads) in configs {
-        let mut session = SchedSession::new(threads, sched);
-        // Warmup: populates allocator/page-cache state and spawns the
-        // pool before anything is timed.
+    let mut thread_counts = vec![1, cores];
+    thread_counts.dedup();
+    for threads in thread_counts {
+        let mut session = Vm1Optimizer::new(bench_config(threads));
         let mut warm = base.clone();
-        let _ = session.pass(&mut warm, &p);
+        let _ = session.run_pass(&mut warm, &p);
         let d0 = placement_digest(&warm);
-        match digest {
-            None => digest = Some(d0),
-            Some(want) => assert_eq!(d0, want, "{name}_{threads}t produced a different placement"),
+        if digest.is_some_and(|want| want != d0) {
+            panic!("{threads} threads produced a different placement");
         }
-        let mut best_ms = f64::INFINITY;
-        for _ in 0..iters {
-            let mut d = base.clone();
-            let t0 = Instant::now();
-            let _ = session.pass(&mut d, &p);
-            let ms = t0.elapsed().as_secs_f64() * 1e3;
-            best_ms = best_ms.min(ms);
+        digest = Some(d0);
+        let mut ms: Vec<f64> = (0..iters)
+            .map(|_| {
+                let mut d = base.clone();
+                let t0 = Instant::now();
+                let _ = session.run_pass(&mut d, &p);
+                t0.elapsed().as_secs_f64() * 1e3
+            })
+            .collect();
+        ms.sort_by(f64::total_cmp);
+        let (q1, med, q3) = (quantile(&ms, 0.25), quantile(&ms, 0.5), quantile(&ms, 0.75));
+        eprintln!("{threads}t: median {med:.1} ms/pass, IQR {q1:.1}-{q3:.1}");
+        rows.push(format!(
+            "{{\"build\": \"current\", \"threads\": {threads}, \"median_ms\": {med:.2}, \
+             \"q1_ms\": {q1:.2}, \"q3_ms\": {q3:.2}}}"
+        ));
+    }
+    let digest = format!("{:#018x}", digest.unwrap_or_default());
+
+    if let Some(path) = &baseline {
+        let text = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
+        let theirs = text.lines().find_map(|l| {
+            let rest = l.trim().strip_prefix("\"digest\": \"")?;
+            Some(rest.trim_end_matches([',', '"']))
+        });
+        if theirs != Some(digest.as_str()) {
+            fail(&format!(
+                "{path} has digest {theirs:?}, this build {digest}"
+            ));
         }
-        eprintln!("{name:>9} {threads}t: {best_ms:8.1} ms/pass (best of {iters})");
-        results.push((name, threads, best_ms));
+        let base_rows: Vec<String> = text
+            .lines()
+            .map(|l| l.trim().trim_end_matches(','))
+            .filter_map(|l| l.strip_prefix("{\"build\": \"current\", "))
+            .map(|l| format!("{{\"build\": \"baseline\", {l}"))
+            .collect();
+        rows.splice(0..0, base_rows);
     }
 
-    let ms_of = |name: &str, threads: usize| -> f64 {
-        results
-            .iter()
-            .find(|(n, t, _)| *n == name && *t == threads)
-            .map(|&(_, _, ms)| ms)
-            .expect("config ran")
-    };
-    let speedup_8t = ms_of("static", 8) / ms_of("worksteal", 8);
-    let scaling_ws = ms_of("worksteal", 1) / ms_of("worksteal", 8);
-
-    let mut json = String::from("{\n");
-    json.push_str("  \"bench\": \"distopt_sched\",\n");
+    let mut json = String::from("{\n  \"bench\": \"distopt_sched\",\n");
+    json.push_str(&format!(
+        "  \"host\": {{\"cores\": {cores}, \"rustc\": \"{}\"}},\n",
+        rustc_version()
+    ));
     json.push_str(&format!(
         "  \"design\": {{\"profile\": \"aes\", \"insts\": {}, \"rows\": {}, \"sites_per_row\": {}}},\n",
         base.num_insts(),
@@ -102,24 +148,11 @@ fn main() {
         p.bw_sites, p.bh_rows, p.lx, p.ly
     ));
     json.push_str(&format!("  \"iters_per_config\": {iters},\n"));
-    json.push_str("  \"bit_identical_placements\": true,\n");
-    json.push_str("  \"results_ms_per_pass\": [\n");
-    for (i, (name, threads, ms)) in results.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"sched\": \"{name}\", \"threads\": {threads}, \"ms\": {ms:.2}}}{}\n",
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"worksteal_speedup_over_static_8t\": {speedup_8t:.3},\n"
-    ));
-    json.push_str(&format!(
-        "  \"worksteal_scaling_1t_to_8t\": {scaling_ws:.3}\n"
-    ));
-    json.push_str("}\n");
+    json.push_str(&format!("  \"digest\": \"{digest}\",\n"));
+    json.push_str("  \"rows_ms_per_pass\": [\n    ");
+    json.push_str(&rows.join(",\n    "));
+    json.push_str("\n  ]\n}\n");
 
-    std::fs::write(&out, &json).expect("write benchmark artifact");
+    std::fs::write(&out, &json).unwrap_or_else(|e| fail(&format!("cannot write {out}: {e}")));
     println!("wrote {out}");
-    println!("work-stealing speedup over static chunking at 8 threads: {speedup_8t:.3}x");
 }

@@ -1,8 +1,8 @@
-//! Shared fixtures for the `DistOpt` scheduler benchmarks (the
-//! `distopt_sched` criterion bench and the `bench_distopt_sched` binary
-//! that produces the checked-in `BENCH_distopt_sched.json`).
+//! Shared fixtures for the `DistOpt` round benchmark (the
+//! `bench_distopt_sched` binary that produces the checked-in
+//! `BENCH_distopt_sched.json`).
 
-use vm1_core::{DistOptParams, DistOptStats, SchedPolicy, Vm1Config, Vm1Optimizer};
+use vm1_core::{DistOptParams, Vm1Config};
 use vm1_netlist::generator::{DesignProfile, GeneratorConfig};
 use vm1_netlist::Design;
 use vm1_place::{place, PlaceConfig};
@@ -20,8 +20,8 @@ pub fn bench_design(n: usize) -> Design {
     d
 }
 
-/// Pass parameters sized so a round has roughly one window per worker of
-/// an 8-thread pool — the regime where scheduling policy matters.
+/// Pass parameters on a 10×10 window grid, so every round holds several
+/// windows to spread over the workers.
 #[must_use]
 pub fn bench_params(d: &Design) -> DistOptParams {
     DistOptParams {
@@ -35,43 +35,13 @@ pub fn bench_params(d: &Design) -> DistOptParams {
     }
 }
 
-/// The benchmark configuration for a thread count and scheduling policy
-/// (cache off so every pass does identical full work).
+/// The benchmark configuration for a thread count (cache off so every
+/// pass does identical full work).
 #[must_use]
-pub fn bench_config(threads: usize, sched: SchedPolicy) -> Vm1Config {
-    let mut cfg = Vm1Config::closedm1()
-        .with_threads(threads)
-        .with_sched(sched);
+pub fn bench_config(threads: usize) -> Vm1Config {
+    let mut cfg = Vm1Config::closedm1().with_threads(threads);
     cfg.smart_window_selection = false;
     cfg
-}
-
-/// Runs one uncached `DistOpt` pass on `d` (pool spawned per call; use
-/// [`SchedSession`] to reuse a pool across passes).
-pub fn pass_once(
-    d: &mut Design,
-    p: &DistOptParams,
-    threads: usize,
-    sched: SchedPolicy,
-) -> DistOptStats {
-    Vm1Optimizer::new(bench_config(threads, sched)).run_pass(d, p)
-}
-
-/// A reusable benchmark session holding one persistent worker pool.
-#[derive(Debug)]
-pub struct SchedSession(Vm1Optimizer);
-
-impl SchedSession {
-    /// Spawns the session's pool.
-    #[must_use]
-    pub fn new(threads: usize, sched: SchedPolicy) -> SchedSession {
-        SchedSession(Vm1Optimizer::new(bench_config(threads, sched)))
-    }
-
-    /// One `DistOpt` pass on the session's pool.
-    pub fn pass(&mut self, d: &mut Design, p: &DistOptParams) -> DistOptStats {
-        self.0.run_pass(d, p)
-    }
 }
 
 /// Order-sensitive digest of a placement, for cross-config bit-identity
@@ -95,25 +65,22 @@ pub fn placement_digest(d: &Design) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vm1_core::Vm1Optimizer;
 
     #[test]
-    fn fixtures_are_deterministic_and_policies_agree() {
+    fn fixtures_are_deterministic_and_thread_counts_agree() {
         let base = bench_design(400);
         let p = bench_params(&base);
         let mut digests = Vec::new();
-        for (threads, sched) in [
-            (1, SchedPolicy::WorkSteal),
-            (2, SchedPolicy::StaticChunk),
-            (2, SchedPolicy::WorkSteal),
-        ] {
+        for threads in [1, 2, 4] {
             let mut d = base.clone();
-            let stats = pass_once(&mut d, &p, threads, sched);
+            let stats = Vm1Optimizer::new(bench_config(threads)).run_pass(&mut d, &p);
             assert!(stats.rounds > 0);
             digests.push(placement_digest(&d));
         }
         assert!(
             digests.windows(2).all(|w| w[0] == w[1]),
-            "scheduling must not change the result"
+            "the thread count must not change the result"
         );
     }
 }

@@ -1,3 +1,4 @@
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 use vm1_geom::Dbu;
 use vm1_netlist::NetId;
@@ -45,19 +46,6 @@ pub enum SolverKind {
     Greedy,
 }
 
-/// Scheduling policy of the persistent `DistOpt` worker pool.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SchedPolicy {
-    /// One task per window on striped per-worker deques; an idle worker
-    /// steals from the back of another worker's deque, so one dense
-    /// window no longer stalls its whole round.
-    #[default]
-    WorkSteal,
-    /// One contiguous chunk of the round's windows per worker, no
-    /// stealing (the pre-pool chunking; kept for comparison benchmarks).
-    StaticChunk,
-}
-
 /// Configuration of the vertical-M1 detailed placement optimization.
 #[derive(Clone, Debug)]
 pub struct Vm1Config {
@@ -91,12 +79,11 @@ pub struct Vm1Config {
     pub max_nodes: usize,
     /// Safety cap on Algorithm 1 inner iterations per parameter set.
     pub max_inner_iters: usize,
-    /// Number of worker threads for parallel window optimization.
+    /// Number of worker threads for parallel window optimization
+    /// (default: the host's available parallelism). Placements and
+    /// counters are invariant under it; only wall-clock and the
+    /// scheduler gauges differ.
     pub threads: usize,
-    /// How the windows of a round are scheduled over the worker threads.
-    /// Placements and counters are invariant under this choice (and under
-    /// `threads`); only wall-clock and the scheduler gauges differ.
-    pub sched: SchedPolicy,
     /// Optional per-net weight multipliers (β_n = β · weight). The paper
     /// lists timing-criticality-aware objectives as future work (§6 item
     /// ii); the `net_criticality_weights` helper in `vm1-flow` produces
@@ -132,8 +119,7 @@ impl Vm1Config {
             solver: SolverKind::Dfs,
             max_nodes: 300_000,
             max_inner_iters: 8,
-            threads: 8,
-            sched: SchedPolicy::WorkSteal,
+            threads: std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
             net_weights: None,
             smart_window_selection: true,
             certify: false,
@@ -179,7 +165,7 @@ impl Vm1Config {
         self
     }
 
-    /// Replaces the worker-thread count of the window pool.
+    /// Replaces the number of window worker threads.
     ///
     /// # Panics
     ///
@@ -188,13 +174,6 @@ impl Vm1Config {
     pub fn with_threads(mut self, threads: usize) -> Vm1Config {
         assert!(threads > 0, "threads must be positive");
         self.threads = threads;
-        self
-    }
-
-    /// Replaces the window scheduling policy.
-    #[must_use]
-    pub fn with_sched(mut self, sched: SchedPolicy) -> Vm1Config {
-        self.sched = sched;
         self
     }
 
@@ -248,10 +227,9 @@ mod tests {
         assert_eq!(c.sequence.len(), 2);
         assert_eq!(c.sequence[1].lx, 3);
         assert_eq!(c.sequence[1].ly, 0);
-        let c = c.with_threads(2).with_sched(SchedPolicy::StaticChunk);
-        assert_eq!(c.threads, 2);
-        assert_eq!(c.sched, SchedPolicy::StaticChunk);
-        assert_eq!(Vm1Config::closedm1().sched, SchedPolicy::WorkSteal);
+        assert_eq!(c.with_threads(2).threads, 2);
+        let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        assert_eq!(Vm1Config::closedm1().threads, cores);
     }
 
     #[test]

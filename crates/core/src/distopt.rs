@@ -3,8 +3,8 @@
 //! The layout is partitioned into windows (shifted by `(tx, ty)`); the
 //! diagonal sets of [`crate::window::WindowGrid::diagonal_sets`] are
 //! processed one after another, and the windows *within* a set are solved
-//! in parallel by the persistent [`crate::sched::WorkerPool`] (their
-//! projections are disjoint, so window-local ΔHPWL is exact — Figure 4b).
+//! in parallel by [`crate::sched::Round`] (their projections are
+//! disjoint, so window-local ΔHPWL is exact — Figure 4b).
 //! Windows holding more movable cells than `max_cells_per_milp` are
 //! solved in sequential batches with earlier batches fixed (the
 //! documented CPLEX-scale substitution, DESIGN.md §5).
@@ -15,26 +15,24 @@
 //! what changed instead of with design size.
 
 use crate::problem::{Candidate, Overrides, SolveScratch, WindowProblem};
-use crate::sched::{RoundCtx, WorkerPool};
+use crate::sched::Round;
 use crate::solver::solve_window_with;
 use crate::window::{Window, WindowGrid};
 use crate::Vm1Config;
 use std::collections::HashSet;
-use std::sync::{Arc, Mutex};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use vm1_netlist::{Design, InstId};
-use vm1_obs::{Counter, MetricsHandle, MetricsReport, SchedGauge, Stage, Telemetry};
+use vm1_obs::{Counter, MetricsHandle, MetricsReport, SchedGauge, Stage};
 use vm1_place::{RowMap, SpanMove};
 
 /// Cache for the smart window selection: remembers problem-state digests
 /// whose (deterministic) solve produced no improvement, so re-solving an
 /// unchanged window is skipped. Sound because
 /// [`WindowProblem::state_digest`] covers everything a solver observes.
-///
-/// Cloning is shallow: clones share the same digest set, which is how the
-/// session hands its cache to the `'static` pool workers.
-#[derive(Clone, Debug, Default)]
+/// The workers of a round share it by reference.
+#[derive(Debug, Default)]
 pub struct SolveCache {
-    no_gain: Arc<Mutex<HashSet<u64>>>,
+    no_gain: Mutex<HashSet<u64>>,
 }
 
 impl SolveCache {
@@ -46,10 +44,8 @@ impl SolveCache {
 
     /// A poisoned lock only means another worker panicked mid-insert;
     /// the set of no-gain digests is append-only and stays valid.
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashSet<u64>> {
-        self.no_gain
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    fn lock(&self) -> MutexGuard<'_, HashSet<u64>> {
+        self.no_gain.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn known_no_gain(&self, digest: u64) -> bool {
@@ -119,154 +115,49 @@ impl DistOptStats {
     }
 }
 
-/// Runs one distributable optimization pass; mutates the placement.
-///
-/// # Panics
-///
-/// Panics if the resulting placement were illegal (this is a bug guard —
-/// window solutions are legal by construction).
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Vm1Optimizer::new(cfg).run_pass(design, params)` instead"
-)]
-pub fn dist_opt(design: &mut Design, p: &DistOptParams, cfg: &Vm1Config) -> DistOptStats {
-    let telemetry = Arc::new(Telemetry::new());
-    let pool = WorkerPool::new(cfg.threads, cfg.sched);
-    dist_opt_impl(
-        design,
-        p,
-        cfg,
-        None,
-        &MetricsHandle::of(telemetry.clone()),
-        &pool,
-    );
-    DistOptStats::from_report(&telemetry.report())
-}
-
-/// [`dist_opt`] with an optional smart window-selection cache shared
-/// across calls (the paper's improvement (ii) over the distributable
-/// optimization of Han et al.).
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Vm1Optimizer::new(cfg).with_cache().run_pass(design, params)` instead"
-)]
-pub fn dist_opt_cached(
-    design: &mut Design,
-    p: &DistOptParams,
-    cfg: &Vm1Config,
-    cache: Option<&SolveCache>,
-) -> DistOptStats {
-    let telemetry = Arc::new(Telemetry::new());
-    let pool = WorkerPool::new(cfg.threads, cfg.sched);
-    dist_opt_impl(
-        design,
-        p,
-        cfg,
-        cache,
-        &MetricsHandle::of(telemetry.clone()),
-        &pool,
-    );
-    DistOptStats::from_report(&telemetry.report())
-}
-
 /// Algorithm 2 proper. All accounting goes through `metrics`; callers
-/// wanting a [`DistOptStats`] attach a [`Telemetry`] sink and build the
-/// view from its report. Rounds execute on `pool`'s persistent workers
-/// (or inline for a single-thread pool) — no threads are spawned here.
+/// wanting a [`DistOptStats`] attach a [`Telemetry`](vm1_obs::Telemetry)
+/// sink and build the view from its report. Each round runs on at most
+/// one worker per `scratch` buffer (see [`Round::solve`]).
 pub(crate) fn dist_opt_impl(
     design: &mut Design,
     p: &DistOptParams,
     cfg: &Vm1Config,
     cache: Option<&SolveCache>,
     metrics: &MetricsHandle,
-    pool: &WorkerPool,
+    scratch: &mut [SolveScratch],
 ) {
     let grid = WindowGrid::partition(design, p.tx, p.ty, p.bw_sites, p.bh_rows);
     let sets = grid.diagonal_sets();
     metrics.incr(Counter::DistOptPasses);
     metrics.add(Counter::DistOptRounds, sets.len() as u64);
 
-    // Hand the design to the `'static` pool workers via `Arc`: the
-    // caller's reference is parked on an empty placeholder and restored
-    // at the end of the pass (also when a solve panics).
-    let placeholder = Design::new("", design.library().clone(), 0, 0);
-    let mut shared = Arc::new(std::mem::replace(design, placeholder));
     // Build occupancy once per pass; rounds patch it incrementally.
-    let mut rowmap = Arc::new(RowMap::build(&shared));
+    let mut rowmap = RowMap::build(design);
     metrics.incr(Counter::RowMapBuilds);
-    let cfg_shared = Arc::new(cfg.clone());
 
-    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        for set in &sets {
-            let windows: Vec<Window> = set.iter().map(|&i| grid.windows[i]).collect();
-            metrics.record_gauge(SchedGauge::QueueHighWater, windows.len() as u64);
-            let round = pool.run_round(RoundCtx {
-                design: Arc::clone(&shared),
-                rowmap: Arc::clone(&rowmap),
-                windows,
-                p: *p,
-                cfg: Arc::clone(&cfg_shared),
-                cache: cache.cloned(),
-                metrics: metrics.clone(),
-            });
-            if let Some(payload) = round.panics.into_iter().next() {
-                // Re-raise a worker panic with its original payload (the
-                // outer catch restores the caller's design first).
-                std::panic::resume_unwind(payload);
-            }
-
-            // Commit in window-index order on this single thread; every
-            // deterministic counter is emitted here. `run_round` returned
-            // all snapshot clones, so `make_mut` mutates in place.
-            let d = Arc::make_mut(&mut shared);
-            let mut span_moves: Vec<SpanMove> = Vec::new();
-            for outcome in round.outcomes.into_iter().flatten() {
-                if outcome.visited {
-                    metrics.incr(Counter::WindowsVisited);
-                }
-                metrics.add(Counter::BatchCacheHits, outcome.batches_skipped as u64);
-                metrics.add(Counter::BatchesSolved, outcome.batches_solved as u64);
-                if !outcome.moves.is_empty() {
-                    metrics.incr(Counter::WindowsImproved);
-                }
-                for (inst, cand) in outcome.moves {
-                    let (site, row, orient) = {
-                        let i = d.inst(inst);
-                        (i.site, i.row, i.orient)
-                    };
-                    if (site, row, orient) == (cand.site, cand.row, cand.orient) {
-                        continue; // solvers record only real changes; guard anyway
-                    }
-                    metrics.incr(Counter::CellsChanged);
-                    if (site, row) != (cand.site, cand.row) {
-                        // Flips keep their span; only positional moves
-                        // patch the occupancy index.
-                        let w = d.library().cell(d.inst(inst).cell).width_sites;
-                        span_moves.push(SpanMove {
-                            inst,
-                            old_row: row,
-                            new_row: cand.row,
-                            new_start: cand.site,
-                            new_end: cand.site + w,
-                        });
-                    }
-                    d.move_inst(inst, cand.site, cand.row, cand.orient);
-                }
-            }
-            if !span_moves.is_empty() {
-                let patched = Arc::make_mut(&mut rowmap).patch_moves(&span_moves);
-                metrics.add(Counter::RowMapRowsPatched, patched as u64);
-            }
-            debug_assert!(
-                rowmap.consistent_with(&shared),
-                "incremental occupancy diverged from the placement"
-            );
+    for set in &sets {
+        let windows: Vec<Window> = set.iter().map(|&i| grid.windows[i]).collect();
+        metrics.record_gauge(SchedGauge::QueueHighWater, windows.len() as u64);
+        let outcomes = Round {
+            design,
+            rowmap: &rowmap,
+            windows: &windows,
+            p,
+            cfg,
+            cache,
+            metrics,
         }
-    }));
-
-    *design = Arc::try_unwrap(shared).unwrap_or_else(|arc| (*arc).clone());
-    if let Err(payload) = run {
-        std::panic::resume_unwind(payload);
+        .solve(scratch);
+        let span_moves = commit(design, outcomes, metrics);
+        if !span_moves.is_empty() {
+            let patched = rowmap.patch_moves(&span_moves);
+            metrics.add(Counter::RowMapRowsPatched, patched as u64);
+        }
+        debug_assert!(
+            rowmap.consistent_with(design),
+            "incremental occupancy diverged from the placement"
+        );
     }
 
     debug_assert!(
@@ -275,7 +166,51 @@ pub(crate) fn dist_opt_impl(
     );
 }
 
+/// Commits a round's outcomes in window-index order on the calling
+/// thread, which emits every deterministic counter. Returns the span
+/// moves that patch the occupancy index (flips keep their span).
+fn commit(
+    design: &mut Design,
+    outcomes: Vec<WindowOutcome>,
+    metrics: &MetricsHandle,
+) -> Vec<SpanMove> {
+    let mut span_moves = Vec::new();
+    for outcome in outcomes {
+        if outcome.visited {
+            metrics.incr(Counter::WindowsVisited);
+        }
+        metrics.add(Counter::BatchCacheHits, outcome.batches_skipped as u64);
+        metrics.add(Counter::BatchesSolved, outcome.batches_solved as u64);
+        if !outcome.moves.is_empty() {
+            metrics.incr(Counter::WindowsImproved);
+        }
+        for (inst, cand) in outcome.moves {
+            let (site, row, orient) = {
+                let i = design.inst(inst);
+                (i.site, i.row, i.orient)
+            };
+            if (site, row, orient) == (cand.site, cand.row, cand.orient) {
+                continue; // solvers record only real changes; guard anyway
+            }
+            metrics.incr(Counter::CellsChanged);
+            if (site, row) != (cand.site, cand.row) {
+                let w = design.library().cell(design.inst(inst).cell).width_sites;
+                span_moves.push(SpanMove {
+                    inst,
+                    old_row: row,
+                    new_row: cand.row,
+                    new_start: cand.site,
+                    new_end: cand.site + w,
+                });
+            }
+            design.move_inst(inst, cand.site, cand.row, cand.orient);
+        }
+    }
+    span_moves
+}
+
 /// What happened inside one window.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct WindowOutcome {
     /// Moves to commit: only cells whose placement actually changed
     /// (unchanged candidates of a changed batch are *not* recorded — they
@@ -353,7 +288,10 @@ mod tests {
     use super::*;
     use crate::calculate_obj;
     use crate::session::Vm1Optimizer;
+    use std::sync::Arc;
+    use vm1_geom::rng::SplitMix64;
     use vm1_netlist::generator::{DesignProfile, GeneratorConfig};
+    use vm1_obs::Telemetry;
     use vm1_place::{place, PlaceConfig};
     use vm1_tech::{CellArch, Library};
 
@@ -371,8 +309,7 @@ mod tests {
         (d, cfg)
     }
 
-    /// One uncached pass through the session API (what `dist_opt` used
-    /// to be).
+    /// One uncached pass through the session API.
     fn pass(d: &mut Design, p: &DistOptParams, cfg: &Vm1Config) -> DistOptStats {
         Vm1Optimizer::new(cfg.clone())
             .without_cache()
@@ -435,63 +372,91 @@ mod tests {
         d.validate_placement().unwrap();
     }
 
+    /// Placement and every counter after one uncached pass on the
+    /// 200-instance seed-`seed` design at `threads` threads.
+    fn pass_snapshot(seed: u64, threads: usize) -> (Vec<(i64, i64, bool)>, Vec<u64>) {
+        let (mut d, cfg) = setup(CellArch::ClosedM1, 200, seed);
+        let p = params(&d);
+        let t = Arc::new(Telemetry::new());
+        let _ = Vm1Optimizer::new(cfg.with_threads(threads))
+            .without_cache()
+            .with_metrics(t.clone())
+            .run_pass(&mut d, &p);
+        let placement = d
+            .insts()
+            .map(|(_, i)| (i.site, i.row, i.orient.is_flipped()))
+            .collect();
+        let r = t.report();
+        let counters = Counter::ALL.iter().map(|&c| r.counter(c)).collect();
+        (placement, counters)
+    }
+
     #[test]
     fn deterministic_across_runs() {
-        let (mut d1, cfg) = setup(CellArch::ClosedM1, 200, 4);
-        let (mut d2, _) = setup(CellArch::ClosedM1, 200, 4);
-        let p1 = params(&d1);
-        let p2 = params(&d2);
-        let t1 = std::sync::Arc::new(Telemetry::new());
-        let t2 = std::sync::Arc::new(Telemetry::new());
-        let pool = WorkerPool::new(cfg.threads, cfg.sched);
-        dist_opt_impl(
-            &mut d1,
-            &p1,
-            &cfg,
-            None,
-            &MetricsHandle::of(t1.clone()),
-            &pool,
-        );
-        dist_opt_impl(
-            &mut d2,
-            &p2,
-            &cfg,
-            None,
-            &MetricsHandle::of(t2.clone()),
-            &pool,
-        );
-        for ((_, a), (_, b)) in d1.insts().zip(d2.insts()) {
-            assert_eq!((a.site, a.row, a.orient), (b.site, b.row, b.orient));
-        }
         // Counters track algorithmic events only, so a repeated run must
         // reproduce every one of them exactly (stage *times* may differ).
-        let (r1, r2) = (t1.report(), t2.report());
-        for c in Counter::ALL {
-            assert_eq!(r1.counter(c), r2.counter(c), "counter {}", c.name());
-        }
-        assert!(r1.counter(Counter::BatchesSolved) > 0);
-        assert!(r1.counter(Counter::DfsNodes) > 0, "default solver is DFS");
-        assert!(r1.counter(Counter::RowMapBuilds) > 0);
+        let first = pass_snapshot(4, 2);
+        assert_eq!(pass_snapshot(4, 2), first);
+        let counter = |c: Counter| first.1[c as usize];
+        assert!(counter(Counter::BatchesSolved) > 0);
+        assert!(counter(Counter::DfsNodes) > 0, "default solver is DFS");
+        assert!(counter(Counter::RowMapBuilds) > 0);
     }
 
     #[test]
     fn sched_policies_and_thread_counts_bit_identical() {
-        // Placements AND counters must be invariant under both scheduling
-        // policy and thread count (the tentpole's determinism contract).
-        use crate::config::SchedPolicy;
-        type Snapshot = (Vec<(i64, i64, bool)>, Vec<u64>);
-        let mut reference: Option<Snapshot> = None;
-        for (threads, sched) in [
-            (1, SchedPolicy::WorkSteal),
-            (4, SchedPolicy::WorkSteal),
-            (4, SchedPolicy::StaticChunk),
-        ] {
-            let (mut d, cfg) = setup(CellArch::ClosedM1, 200, 6);
-            let cfg = cfg.with_threads(threads).with_sched(sched);
-            let p = params(&d);
-            let t = std::sync::Arc::new(Telemetry::new());
-            let pool = WorkerPool::new(cfg.threads, cfg.sched);
-            dist_opt_impl(&mut d, &p, &cfg, None, &MetricsHandle::of(t.clone()), &pool);
+        // Placements AND counters must be invariant under the thread
+        // count, i.e. under which worker solves which window.
+        let reference = pass_snapshot(6, 1);
+        for threads in [2, 4] {
+            assert_eq!(pass_snapshot(6, threads), reference, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn round_outcomes_independent_of_solve_order() {
+        // Workers claim windows in whatever order the schedule gives
+        // them. Solving one round's windows forward, reversed and
+        // shuffled (each with a fresh cache) must give the same
+        // outcomes, and committing them the same placement and counters.
+        let (base, cfg) = setup(CellArch::ClosedM1, 250, 8);
+        let p = params(&base);
+        let rm = RowMap::build(&base);
+        let grid = WindowGrid::partition(&base, p.tx, p.ty, p.bw_sites, p.bh_rows);
+        let set = grid
+            .diagonal_sets()
+            .into_iter()
+            .max_by_key(Vec::len)
+            .unwrap();
+        let n = set.len();
+        assert!(n > 2, "round too small to reorder");
+        let forward: Vec<usize> = (0..n).collect();
+        let reversed: Vec<usize> = forward.iter().rev().copied().collect();
+        let mut shuffled = forward.clone();
+        SplitMix64::new(3).shuffle(&mut shuffled);
+        let mut reference = None;
+        for order in [forward, reversed, shuffled] {
+            let cache = SolveCache::new();
+            let t = Arc::new(Telemetry::new());
+            let metrics = MetricsHandle::of(t.clone());
+            let mut scratch = SolveScratch::new();
+            let mut slots: Vec<Option<WindowOutcome>> = vec![None; n];
+            for &k in &order {
+                let win = grid.windows[set[k]];
+                slots[k] = Some(solve_one_window(
+                    &base,
+                    &rm,
+                    win,
+                    &p,
+                    &cfg,
+                    Some(&cache),
+                    &metrics,
+                    &mut scratch,
+                ));
+            }
+            let outcomes: Vec<WindowOutcome> = slots.into_iter().flatten().collect();
+            let mut d = base.clone();
+            let _ = commit(&mut d, outcomes.clone(), &metrics);
             let placement: Vec<(i64, i64, bool)> = d
                 .insts()
                 .map(|(_, i)| (i.site, i.row, i.orient.is_flipped()))
@@ -499,10 +464,14 @@ mod tests {
             let r = t.report();
             let counters: Vec<u64> = Counter::ALL.iter().map(|&c| r.counter(c)).collect();
             match &reference {
-                None => reference = Some((placement, counters)),
-                Some((p0, c0)) => {
-                    assert_eq!(&placement, p0, "threads={threads} sched={sched:?}");
-                    assert_eq!(&counters, c0, "threads={threads} sched={sched:?}");
+                None => {
+                    assert!(outcomes.iter().any(|o| !o.moves.is_empty()), "no moves");
+                    reference = Some((outcomes, placement, counters));
+                }
+                Some((o0, p0, c0)) => {
+                    assert_eq!(&outcomes, o0, "order {order:?}");
+                    assert_eq!(&placement, p0, "order {order:?}");
+                    assert_eq!(&counters, c0, "order {order:?}");
                 }
             }
         }

@@ -67,12 +67,8 @@ pub mod solver;
 pub mod window;
 
 pub use audit::{audit_design, audit_design_with, recount_alignments, DesignAuditReport};
-pub use config::{ParamSet, SchedPolicy, SolverKind, Vm1Config};
-#[allow(deprecated)]
-pub use distopt::{dist_opt, dist_opt_cached};
+pub use config::{ParamSet, SolverKind, Vm1Config};
 pub use distopt::{DistOptParams, DistOptStats, SolveCache};
 pub use objective::{calculate_obj, count_alignments, overlap_stats, Objective};
 pub use pairs::{alignable_pairs, pair_aligned, PinPairs};
-#[allow(deprecated)]
-pub use session::vm1opt;
 pub use session::{OptStats, Vm1Optimizer};

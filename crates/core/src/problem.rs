@@ -10,14 +10,13 @@
 //! greedy — consumes this structure, which guarantees they optimize the
 //! identical objective.
 
-use crate::pairs::{alignable_pairs, pin_layer};
+use crate::pairs::alignable_pairs;
 use crate::window::Window;
 use crate::Vm1Config;
 use std::collections::{BTreeSet, HashMap};
 use vm1_geom::Orient;
 use vm1_netlist::{Design, InstId, NetId, NetPin, PinRef};
 use vm1_place::RowMap;
-use vm1_tech::CellArch;
 
 /// A candidate placement of one cell (one λ variable).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -130,9 +129,10 @@ pub struct WindowProblem {
 /// are built.
 pub type Overrides = HashMap<InstId, Candidate>;
 
-/// Reusable buffers for window-problem construction. Each pool worker
-/// owns one scratch and threads it through every window it solves, so the
-/// hot path ([`WindowProblem::movable_in_window_into`] and
+/// Reusable buffers for window-problem construction. The optimizer
+/// session keeps one scratch per window worker and each worker threads
+/// it through every window it solves, so the hot path
+/// ([`WindowProblem::movable_in_window_into`] and
 /// [`WindowProblem::build_with_scratch`]) allocates only once per worker
 /// instead of once per window.
 #[derive(Debug, Default)]
@@ -222,7 +222,7 @@ impl WindowProblem {
     }
 
     /// [`WindowProblem::build`] with caller-owned scratch buffers (see
-    /// [`SolveScratch`]); the hot path of the worker pool.
+    /// [`SolveScratch`]); the hot path of the round workers.
     #[must_use]
     #[allow(clippy::too_many_arguments)]
     pub fn build_with_scratch(
@@ -400,8 +400,6 @@ impl WindowProblem {
         let mut pairs = Vec::new();
         if arch.allows_inter_row_m1() {
             let all = alignable_pairs(design, cfg);
-            let want_layer = pin_layer(arch);
-            let _ = want_layer;
             for &(p, q, _net) in &all.pairs {
                 let pm = movable_set.get(&p.inst);
                 let qm = movable_set.get(&q.inst);
@@ -730,15 +728,12 @@ impl WindowProblem {
     }
 }
 
-// Keep the unused import warning away (CellArch used in signatures above).
-const _: fn(CellArch) -> bool = CellArch::allows_inter_row_m1;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use vm1_netlist::generator::{DesignProfile, GeneratorConfig};
     use vm1_place::{place, PlaceConfig};
-    use vm1_tech::Library;
+    use vm1_tech::{CellArch, Library};
 
     fn setup(arch: CellArch) -> (Design, Vm1Config) {
         let lib = Library::synthetic_7nm(arch);

@@ -1,560 +1,235 @@
-//! Persistent work-stealing worker pool for the `DistOpt` rounds.
+//! Window solving for one `DistOpt` round on scoped threads.
 //!
-//! The pool is created once (lazily, by [`crate::Vm1Optimizer`]) and
-//! reused for every round of every pass, replacing the per-round
-//! scoped-thread spawning the module used to do. Each round hands the
-//! workers an immutable snapshot of the design and occupancy index
-//! (`Arc`s inside [`RoundCtx`]); every window of the round is one task.
-//!
-//! # Scheduling
-//!
-//! Under [`SchedPolicy::WorkSteal`] tasks are striped over per-worker
-//! deques; a worker pops its own deque from the front and, when empty,
-//! steals from the back of the others — so one dense window no longer
-//! stalls its whole round. [`SchedPolicy::StaticChunk`] assigns one
-//! contiguous chunk per worker with no stealing, mirroring the old
-//! behaviour for benchmarks.
+//! [`Round::solve`] runs the windows of one diagonal set on
+//! `min(threads, windows)` workers under [`std::thread::scope`]. The
+//! calling thread is one of the workers, so a single-thread
+//! configuration or a one-window round spawns nothing and runs inline.
+//! Workers claim window indices from one shared atomic counter and
+//! reuse the per-worker [`SolveScratch`] buffers owned by the
+//! [`crate::Vm1Optimizer`] session.
 //!
 //! # Determinism
 //!
-//! Scheduling never reaches the results: each task writes its
-//! [`WindowOutcome`] into a slot indexed by task number, and the round
-//! returns the slots in window-index order to the single committing
-//! thread. A window outcome depends only on the round's immutable inputs
-//! (windows of one diagonal set are disjoint, and the no-gain cache can
-//! never be hit by a digest inserted in the same round because digests
-//! include the window position), so placements and every [`vm1_obs::Counter`]
-//! are bit-identical for any `threads`/policy combination. Only the
-//! [`SchedGauge`] channel (steals, busy times) is scheduling-dependent.
-//!
-//! # Pool protocol
-//!
-//! A round is published under the pool mutex with a bumped epoch; workers
-//! attach (increment `working`) at most once per epoch. A worker drops
-//! its `Arc<RoundState>` clone *before* detaching, so when the committing
-//! thread observes `remaining == 0 && working == 0` under the same mutex,
-//! no worker can still hold the design/rowmap snapshots. Task panics are
-//! caught per task and re-raised on the committing thread after cleanup.
-//!
-//! # Schedule-permutation model checking
-//!
-//! [`WorkerPool::new_adversarial`] arms a seeded adversary that replays
-//! every round under a worst-case interleaving drawn from a per-round
-//! xorshift64 stream: permuted task stripes, all tasks piled onto one
-//! victim queue (forcing every other worker to steal), reversed queue
-//! drains, and rotated chunk assignments — plus randomized steal-victim
-//! rotation and steal-before-own-queue ordering. Because scheduling can
-//! never reach the results (see *Determinism* above), placements and
-//! every counter must stay bit-identical under any adversary seed; the
-//! `sched_permutation` integration tests assert exactly that.
+//! Which worker solves which window never reaches the results. A window
+//! outcome depends only on the round's immutable inputs (windows of one
+//! diagonal set are disjoint, and the no-gain cache can never be hit by
+//! a digest inserted in the same round because digests include the
+//! window position), and the outcomes go back to the single committing
+//! thread in window-index order. Placements and every
+//! [`vm1_obs::Counter`] are therefore bit-identical for any thread
+//! count; only the [`SchedGauge`] channel (busy times) is
+//! scheduling-dependent.
 
 use crate::distopt::{solve_one_window, DistOptParams, SolveCache, WindowOutcome};
 use crate::problem::SolveScratch;
 use crate::window::Window;
-use crate::{SchedPolicy, Vm1Config};
-use std::any::Any;
-use std::collections::VecDeque;
-use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
+use crate::Vm1Config;
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use vm1_netlist::Design;
 use vm1_obs::timer::Stopwatch;
 use vm1_obs::{MetricsHandle, SchedGauge};
 use vm1_place::RowMap;
 
-/// All locks in this module guard plain data that is valid in every
-/// intermediate state, so a poisoning panic elsewhere never invalidates
-/// them.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Everything one round of window solving needs, shared with the workers.
-pub(crate) struct RoundCtx {
-    /// Immutable design snapshot of the round.
-    pub design: Arc<Design>,
+/// Everything one round of window solving reads, shared by reference
+/// with the workers.
+pub(crate) struct Round<'a> {
+    /// The placement of the round (committed moves of earlier rounds).
+    pub design: &'a Design,
     /// Occupancy index matching `design`.
-    pub rowmap: Arc<RowMap>,
+    pub rowmap: &'a RowMap,
     /// The round's windows (one diagonal set, in window-index order).
-    pub windows: Vec<Window>,
+    pub windows: &'a [Window],
     /// DistOpt parameters of the pass.
-    pub p: DistOptParams,
+    pub p: &'a DistOptParams,
     /// Solver configuration.
-    pub cfg: Arc<Vm1Config>,
+    pub cfg: &'a Vm1Config,
     /// Smart window-selection cache, if enabled.
-    pub cache: Option<SolveCache>,
+    pub cache: Option<&'a SolveCache>,
     /// Metrics fan-out of the pass.
-    pub metrics: MetricsHandle,
+    pub metrics: &'a MetricsHandle,
 }
 
-/// What a round returns to the committing thread.
-pub(crate) struct RoundResult {
-    /// Per-window outcomes in window-index order; `None` only for a task
-    /// that panicked (then `panics` is non-empty).
-    pub outcomes: Vec<Option<WindowOutcome>>,
-    /// Panic payloads of crashed tasks, to re-raise after cleanup.
-    pub panics: Vec<Box<dyn Any + Send>>,
-}
-
-/// Shared state of one in-flight round.
-struct RoundState {
-    ctx: RoundCtx,
-    policy: SchedPolicy,
-    queues: Vec<Mutex<VecDeque<usize>>>,
-    results: Vec<Mutex<Option<WindowOutcome>>>,
-    remaining: AtomicUsize,
-    panics: Mutex<Vec<Box<dyn Any + Send>>>,
-    /// Adversarial steal-victim rotation: worker `w` tries victims
-    /// starting at `(w + steal_rot)`. Zero in normal rounds.
-    steal_rot: usize,
-    /// Adversarial ordering: steal from other queues *before* draining
-    /// the own queue. False in normal rounds.
-    steal_first: bool,
-}
-
-/// Splitmix-style seeded xorshift64 stream for the schedule adversary.
-/// Deterministic per (seed, round), so a failing seed replays exactly.
-struct AdversaryRng(u64);
-
-impl AdversaryRng {
-    fn new(seed: u64, round: u64) -> AdversaryRng {
-        // Mix so that seed 0 / round 0 still yields a nonzero state.
-        AdversaryRng(
-            seed ^ round
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(0x1234_5678_9ABC_DEF1),
-        )
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
-    }
-
-    /// Uniform-ish draw in `0..n` (`n > 0`).
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
-
-struct PoolState {
-    round: Option<Arc<RoundState>>,
-    epoch: u64,
-    working: usize,
-    shutdown: bool,
-}
-
-struct PoolShared {
-    state: Mutex<PoolState>,
-    /// Signalled when a round is published or the pool shuts down.
-    work_cv: Condvar,
-    /// Signalled when a worker detaches from a round.
-    done_cv: Condvar,
-}
-
-/// The persistent window-solving pool. Owned by `Vm1Optimizer`; dropped
-/// pools shut their workers down and join them.
-pub(crate) struct WorkerPool {
-    shared: Arc<PoolShared>,
-    handles: Vec<JoinHandle<()>>,
-    policy: SchedPolicy,
-    /// Scratch of the inline path (single-thread pools and one-window
-    /// rounds run on the calling thread).
-    scratch: Mutex<SolveScratch>,
-    /// Adversary seed; `None` runs the normal schedule.
-    adversary: Option<u64>,
-    /// Rounds dispatched so far — the adversary's per-round stream index.
-    rounds: AtomicU64,
-}
-
-impl fmt::Debug for WorkerPool {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("WorkerPool")
-            .field("workers", &self.handles.len())
-            .field("policy", &self.policy)
-            .finish_non_exhaustive()
-    }
-}
-
-impl WorkerPool {
-    /// Creates a pool of `threads` persistent workers. A single-thread
-    /// pool spawns nothing and runs rounds inline on the caller.
-    pub(crate) fn new(threads: usize, policy: SchedPolicy) -> WorkerPool {
-        let shared = Arc::new(PoolShared {
-            state: Mutex::new(PoolState {
-                round: None,
-                epoch: 0,
-                working: 0,
-                shutdown: false,
-            }),
-            work_cv: Condvar::new(),
-            done_cv: Condvar::new(),
-        });
-        let mut handles = Vec::new();
-        if threads >= 2 {
-            for i in 0..threads {
-                let sh = Arc::clone(&shared);
-                handles.push(
-                    std::thread::Builder::new()
-                        .name(format!("vm1-window-{i}"))
-                        .spawn(move || worker_main(&sh, i))
-                        .expect("spawn DistOpt pool worker"), // lint: allow(cannot run without workers; spawn failure at construction is unrecoverable)
-                );
-            }
-        }
-        WorkerPool {
-            shared,
-            handles,
-            policy,
-            scratch: Mutex::new(SolveScratch::default()),
-            adversary: None,
-            rounds: AtomicU64::new(0),
-        }
-    }
-
-    /// Creates a pool whose every round is scheduled by the seeded
-    /// adversary (see the module docs). Forces [`SchedPolicy::WorkSteal`]:
-    /// the adversary's all-to-one mode relies on stealing to drain.
-    pub(crate) fn new_adversarial(threads: usize, seed: u64) -> WorkerPool {
-        let mut pool = WorkerPool::new(threads, SchedPolicy::WorkSteal);
-        pool.adversary = Some(seed);
-        pool
-    }
-
-    /// Number of pool workers (0 = inline execution on the caller).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn workers(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// Solves every window of `ctx` and returns the outcomes in
-    /// window-index order. Blocks until the round is fully drained; on
-    /// return no worker holds a reference to the round's snapshots.
-    pub(crate) fn run_round(&self, ctx: RoundCtx) -> RoundResult {
-        let n = ctx.windows.len();
-        if self.handles.is_empty() || n <= 1 {
-            return self.run_inline(&ctx);
-        }
-        let nw = self.handles.len();
-        let mut qs: Vec<VecDeque<usize>> = (0..nw).map(|_| VecDeque::new()).collect();
-        let mut steal_rot = 0usize;
-        let mut steal_first = false;
-        if let Some(seed) = self.adversary {
-            let round_no = self.rounds.fetch_add(1, Ordering::Relaxed);
-            let mut rng = AdversaryRng::new(seed, round_no);
-            adversarial_distribute(&mut qs, n, &mut rng);
-            steal_rot = rng.below(nw);
-            steal_first = rng.next() & 1 == 1;
-        } else {
-            match self.policy {
-                SchedPolicy::WorkSteal => {
-                    for t in 0..n {
-                        qs[t % nw].push_back(t);
-                    }
-                }
-                SchedPolicy::StaticChunk => {
-                    let chunk = n.div_ceil(nw).max(1);
-                    for t in 0..n {
-                        qs[(t / chunk).min(nw - 1)].push_back(t);
-                    }
-                }
-            }
-        }
-        let round = Arc::new(RoundState {
-            ctx,
-            policy: self.policy,
-            queues: qs.into_iter().map(Mutex::new).collect(),
-            results: (0..n).map(|_| Mutex::new(None)).collect(),
-            remaining: AtomicUsize::new(n),
-            panics: Mutex::new(Vec::new()),
-            steal_rot,
-            steal_first,
-        });
-        {
-            let mut st = lock(&self.shared.state);
-            st.round = Some(Arc::clone(&round));
-            st.epoch = st.epoch.wrapping_add(1);
-            self.shared.work_cv.notify_all();
-            while round.remaining.load(Ordering::Acquire) != 0 || st.working != 0 {
-                st = self
-                    .shared
-                    .done_cv
-                    .wait(st)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-            // Clearing the slot under the same lock in which `working`
-            // hit zero guarantees no worker re-attaches to this epoch.
-            st.round = None;
-        }
-        let panics = std::mem::take(&mut *lock(&round.panics));
-        let outcomes = round.results.iter().map(|r| lock(r).take()).collect();
-        // Last reference: releases the design/rowmap snapshot clones so
-        // the committing thread regains unique ownership.
-        drop(round);
-        RoundResult { outcomes, panics }
-    }
-
-    /// Runs a round on the calling thread (single-thread pools and
-    /// trivial rounds). Panics propagate directly to the caller.
-    fn run_inline(&self, ctx: &RoundCtx) -> RoundResult {
-        let start = Stopwatch::start();
-        let mut scratch = lock(&self.scratch);
-        let outcomes: Vec<Option<WindowOutcome>> = ctx
-            .windows
-            .iter()
-            .map(|&win| {
-                Some(solve_one_window(
-                    &ctx.design,
-                    &ctx.rowmap,
-                    win,
-                    &ctx.p,
-                    &ctx.cfg,
-                    ctx.cache.as_ref(),
-                    &ctx.metrics,
-                    &mut scratch,
-                ))
-            })
-            .collect();
-        // Rule D4: release the scratch guard before any telemetry send.
-        drop(scratch);
-        let busy = start.elapsed_nanos();
-        ctx.metrics
-            .record_gauge(SchedGauge::TasksExecuted, ctx.windows.len() as u64);
-        ctx.metrics.record_gauge(SchedGauge::WorkerBusyNanos, busy);
-        ctx.metrics
-            .record_gauge(SchedGauge::WorkerBusyMaxNanos, busy);
-        RoundResult {
-            outcomes,
-            panics: Vec::new(),
-        }
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        lock(&self.shared.state).shutdown = true;
-        self.shared.work_cv.notify_all();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Worker loop: wait for a round, drain tasks, detach, repeat.
-fn worker_main(shared: &PoolShared, me: usize) {
-    let mut scratch = SolveScratch::default();
-    let mut last_epoch = 0u64;
-    loop {
-        let round = {
-            let mut st = lock(&shared.state);
-            loop {
-                if st.shutdown {
-                    return;
-                }
-                match &st.round {
-                    Some(r) if st.epoch != last_epoch => {
-                        let r = Arc::clone(r);
-                        last_epoch = st.epoch;
-                        st.working += 1;
-                        break r;
-                    }
-                    _ => {
-                        st = shared
-                            .work_cv
-                            .wait(st)
-                            .unwrap_or_else(PoisonError::into_inner);
-                    }
-                }
-            }
+impl Round<'_> {
+    /// Solves every window and returns the outcomes in window-index
+    /// order. Runs at most one worker per `scratch` buffer; the calling
+    /// thread works too, so one buffer (or one window) means no thread
+    /// is spawned. A worker panic is re-raised on the calling thread
+    /// with its original payload.
+    pub(crate) fn solve(&self, scratch: &mut [SolveScratch]) -> Vec<WindowOutcome> {
+        let workers = scratch.len().min(self.windows.len());
+        let Some((own, others)) = scratch[..workers].split_first_mut() else {
+            return Vec::new();
         };
-        run_tasks(&round, me, &mut scratch);
-        // Drop our reference BEFORE detaching: once the committing thread
-        // observes `working == 0`, no worker still holds the round.
-        drop(round);
-        let mut st = lock(&shared.state);
-        st.working -= 1;
-        drop(st);
-        shared.done_cv.notify_all();
+        let next = &AtomicUsize::new(0);
+        let mut solved = std::thread::scope(|s| {
+            let handles: Vec<_> = others
+                .iter_mut()
+                .map(|scratch| s.spawn(move || self.work(next, scratch)))
+                .collect();
+            let mut solved = self.work(next, own);
+            for handle in handles {
+                // A bare scope would replace the payload with "a scoped
+                // thread panicked"; joining keeps the original.
+                match handle.join() {
+                    Ok(part) => solved.extend(part),
+                    Err(payload) => resume_unwind(payload),
+                }
+            }
+            solved
+        });
+        solved.sort_unstable_by_key(|&(i, _)| i);
+        solved.into_iter().map(|(_, outcome)| outcome).collect()
     }
-}
 
-/// Drains tasks for one attached worker and records the scheduler gauges.
-fn run_tasks(round: &RoundState, me: usize, scratch: &mut SolveScratch) {
-    let start = Stopwatch::start();
-    let me = me % round.queues.len();
-    let mut executed = 0u64;
-    let mut steals = 0u64;
-    while let Some(task) = claim_task(round, me, &mut steals) {
-        let ctx = &round.ctx;
-        let win = ctx.windows[task];
-        let out = catch_unwind(AssertUnwindSafe(|| {
-            solve_one_window(
-                &ctx.design,
-                &ctx.rowmap,
+    /// One worker: claims windows until none are left, then records its
+    /// scheduler gauges. Returns `(window index, outcome)` pairs.
+    fn work(&self, next: &AtomicUsize, scratch: &mut SolveScratch) -> Vec<(usize, WindowOutcome)> {
+        let start = Stopwatch::start();
+        let mut solved = Vec::new();
+        loop {
+            // Relaxed suffices: the counter only hands out indices, and
+            // outcomes reach the caller through `join`.
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(&win) = self.windows.get(i) else {
+                break;
+            };
+            let outcome = solve_one_window(
+                self.design,
+                self.rowmap,
                 win,
-                &ctx.p,
-                &ctx.cfg,
-                ctx.cache.as_ref(),
-                &ctx.metrics,
+                self.p,
+                self.cfg,
+                self.cache,
+                self.metrics,
                 scratch,
-            )
-        }));
-        match out {
-            Ok(outcome) => *lock(&round.results[task]) = Some(outcome),
-            Err(payload) => lock(&round.panics).push(payload),
+            );
+            solved.push((i, outcome));
         }
-        executed += 1;
-        // Count the task done only after its result (or panic payload)
-        // is visible; the committing thread acquires on this counter.
-        round.remaining.fetch_sub(1, Ordering::AcqRel);
+        let busy = start.elapsed_nanos();
+        let m = self.metrics;
+        m.record_gauge(SchedGauge::TasksExecuted, solved.len() as u64);
+        m.record_gauge(SchedGauge::WorkerBusyNanos, busy);
+        m.record_gauge(SchedGauge::WorkerBusyMaxNanos, busy);
+        solved
     }
-    let busy = start.elapsed_nanos();
-    let m = &round.ctx.metrics;
-    m.record_gauge(SchedGauge::TasksExecuted, executed);
-    m.record_gauge(SchedGauge::Steals, steals);
-    m.record_gauge(SchedGauge::WorkerBusyNanos, busy);
-    m.record_gauge(SchedGauge::WorkerBusyMaxNanos, busy);
-}
-
-/// Fills the round's queues under one of the adversary's four worst-case
-/// interleaving modes, drawn from the per-round stream.
-fn adversarial_distribute(qs: &mut [VecDeque<usize>], n: usize, rng: &mut AdversaryRng) {
-    let nw = qs.len();
-    match rng.below(4) {
-        0 => {
-            // Permuted stripes: Fisher–Yates shuffle of the task order
-            // before striping, so no worker sees ascending indices.
-            let mut order: Vec<usize> = (0..n).collect();
-            for i in (1..n).rev() {
-                order.swap(i, rng.below(i + 1));
-            }
-            for (k, &t) in order.iter().enumerate() {
-                qs[k % nw].push_back(t);
-            }
-        }
-        1 => {
-            // All tasks on one victim queue: every other worker must
-            // steal (from the back, so the victim and thieves collide).
-            let victim = rng.below(nw);
-            for t in 0..n {
-                qs[victim].push_back(t);
-            }
-        }
-        2 => {
-            // Reversed drains: push_front makes each owner pop its
-            // stripe in descending task order while thieves steal
-            // ascending ones from the back.
-            for t in 0..n {
-                qs[t % nw].push_front(t);
-            }
-        }
-        _ => {
-            // Rotated chunks: contiguous chunks land on shifted owners,
-            // maximally unlike the striped default.
-            let rot = rng.below(nw);
-            let chunk = n.div_ceil(nw).max(1);
-            for t in 0..n {
-                qs[((t / chunk) + rot) % nw].push_back(t);
-            }
-        }
-    }
-}
-
-/// Pops the next task: own deque front first, then (work-stealing only)
-/// the back of the other workers' deques. Adversarial rounds may rotate
-/// the victim order (`steal_rot`) or steal before the own drain
-/// (`steal_first`).
-fn claim_task(round: &RoundState, me: usize, steals: &mut u64) -> Option<usize> {
-    let pop_own = |round: &RoundState| lock(&round.queues[me]).pop_front();
-    if !round.steal_first {
-        if let Some(t) = pop_own(round) {
-            return Some(t);
-        }
-    }
-    if round.policy == SchedPolicy::WorkSteal {
-        let nq = round.queues.len();
-        for off in 0..nq {
-            let victim = (me + round.steal_rot + off) % nq;
-            if victim == me {
-                continue;
-            }
-            if let Some(t) = lock(&round.queues[victim]).pop_back() {
-                *steals += 1;
-                return Some(t);
-            }
-        }
-    }
-    if round.steal_first {
-        if let Some(t) = pop_own(round) {
-            return Some(t);
-        }
-    }
-    None
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::window::WindowGrid;
+    use std::sync::{Arc, Mutex};
+    use std::thread::ThreadId;
+    use vm1_netlist::generator::{DesignProfile, GeneratorConfig};
+    use vm1_obs::MetricsSink;
+    use vm1_place::{place, PlaceConfig};
+    use vm1_tech::{CellArch, Library};
+
+    /// Panic payload of [`WorkerLog`]'s injected worker crash.
+    struct WorkerCrash;
+
+    /// Records the thread of every worker as it reports its gauges; with
+    /// `crash_off_caller`, workers on spawned threads panic instead.
+    #[derive(Debug)]
+    struct WorkerLog {
+        caller: ThreadId,
+        crash_off_caller: bool,
+        workers: Mutex<Vec<ThreadId>>,
+    }
+
+    impl MetricsSink for WorkerLog {
+        fn record_gauge(&self, gauge: SchedGauge, _value: u64) {
+            if gauge != SchedGauge::TasksExecuted {
+                return;
+            }
+            let me = std::thread::current().id();
+            if self.crash_off_caller && me != self.caller {
+                std::panic::panic_any(WorkerCrash);
+            }
+            self.workers.lock().unwrap().push(me);
+        }
+    }
+
+    /// Solves (up to `max_windows` windows of) the largest round of a
+    /// small design with `threads` scratch buffers. Returns the threads
+    /// that worked and the number of windows solved.
+    fn run(threads: usize, max_windows: usize, crash_off_caller: bool) -> (Vec<ThreadId>, usize) {
+        let lib = Library::synthetic_7nm(CellArch::ClosedM1);
+        let mut d = GeneratorConfig::profile(DesignProfile::M0)
+            .with_insts(150)
+            .generate(&lib, 3);
+        place(&mut d, &PlaceConfig::default(), 3);
+        let p = DistOptParams {
+            tx: 0,
+            ty: 0,
+            bw_sites: (d.sites_per_row / 4).max(10),
+            bh_rows: (d.num_rows / 4).max(2),
+            lx: 2,
+            ly: 1,
+            flip: false,
+        };
+        let grid = WindowGrid::partition(&d, p.tx, p.ty, p.bw_sites, p.bh_rows);
+        let set = grid
+            .diagonal_sets()
+            .into_iter()
+            .max_by_key(Vec::len)
+            .unwrap();
+        let windows: Vec<Window> = set
+            .iter()
+            .take(max_windows)
+            .map(|&i| grid.windows[i])
+            .collect();
+        let log = Arc::new(WorkerLog {
+            caller: std::thread::current().id(),
+            crash_off_caller,
+            workers: Mutex::new(Vec::new()),
+        });
+        let rowmap = RowMap::build(&d);
+        let round = Round {
+            design: &d,
+            rowmap: &rowmap,
+            windows: &windows,
+            p: &p,
+            cfg: &Vm1Config::closedm1(),
+            cache: None,
+            metrics: &MetricsHandle::of(log.clone()),
+        };
+        let mut scratch: Vec<SolveScratch> = (0..threads).map(|_| SolveScratch::new()).collect();
+        let outcomes = round.solve(&mut scratch);
+        let workers = log.workers.lock().unwrap().clone();
+        (workers, outcomes.len())
+    }
 
     #[test]
     fn single_thread_pool_spawns_no_workers() {
-        let pool = WorkerPool::new(1, SchedPolicy::WorkSteal);
-        assert_eq!(pool.workers(), 0, "threads=1 runs inline");
+        let caller = std::thread::current().id();
+        let (workers, solved) = run(1, usize::MAX, false);
+        assert!(solved > 1);
+        assert_eq!(workers, vec![caller], "threads=1 runs inline");
+        let (workers, solved) = run(4, 1, false);
+        assert_eq!(solved, 1);
+        assert_eq!(workers, vec![caller], "a one-window round runs inline");
     }
 
     #[test]
     fn multi_thread_pool_spawns_and_joins_workers() {
-        let pool = WorkerPool::new(4, SchedPolicy::StaticChunk);
-        assert_eq!(pool.workers(), 4);
-        assert!(format!("{pool:?}").contains("StaticChunk"));
-        drop(pool); // must shut down and join without hanging
+        let caller = std::thread::current().id();
+        let (mut workers, solved) = run(4, usize::MAX, false);
+        assert!(solved >= 4, "round too small to occupy 4 workers");
+        assert!(
+            workers.contains(&caller),
+            "the caller is one of the workers"
+        );
+        workers.sort_unstable_by_key(|t| format!("{t:?}"));
+        workers.dedup();
+        assert_eq!(workers.len(), 4, "min(threads, windows) distinct workers");
     }
 
     #[test]
-    fn pool_survives_repeated_create_drop() {
-        for _ in 0..3 {
-            let pool = WorkerPool::new(2, SchedPolicy::WorkSteal);
-            assert_eq!(pool.workers(), 2);
-        }
-    }
-
-    #[test]
-    fn adversarial_pool_forces_work_stealing() {
-        let pool = WorkerPool::new_adversarial(4, 7);
-        assert_eq!(pool.workers(), 4);
-        assert_eq!(pool.policy, SchedPolicy::WorkSteal);
-        assert_eq!(pool.adversary, Some(7));
-    }
-
-    #[test]
-    fn adversary_stream_is_deterministic_per_round() {
-        let draws = |seed, round| {
-            let mut rng = AdversaryRng::new(seed, round);
-            [rng.next(), rng.next(), rng.next()]
-        };
-        assert_eq!(draws(42, 0), draws(42, 0), "same (seed, round) replays");
-        assert_ne!(draws(42, 0), draws(42, 1), "rounds draw distinct streams");
-        assert_ne!(draws(42, 0), draws(43, 0), "seeds draw distinct streams");
-        // Seed 0 must not collapse the xorshift state to zero.
-        let mut zero = AdversaryRng::new(0, 0);
-        assert_ne!(zero.next(), 0);
-    }
-
-    #[test]
-    fn adversarial_distribution_covers_every_task_once() {
-        for seed in 0..32u64 {
-            let mut rng = AdversaryRng::new(seed, 0);
-            let mut qs: Vec<VecDeque<usize>> = (0..4).map(|_| VecDeque::new()).collect();
-            adversarial_distribute(&mut qs, 23, &mut rng);
-            let mut seen: Vec<usize> = qs.iter().flatten().copied().collect();
-            seen.sort_unstable();
-            assert_eq!(seen, (0..23).collect::<Vec<_>>(), "seed {seed}");
-        }
+    fn worker_panic_keeps_its_payload() {
+        let crash = std::panic::catch_unwind(|| run(4, usize::MAX, true));
+        let payload = crash.expect_err("a spawned worker crashed");
+        assert!(payload.is::<WorkerCrash>(), "payload replaced on re-raise");
     }
 }

@@ -19,7 +19,7 @@
 use crate::audit::debug_checkpoint;
 use crate::distopt::{dist_opt_impl, DistOptParams, DistOptStats, SolveCache};
 use crate::objective::{calculate_obj, Objective};
-use crate::sched::WorkerPool;
+use crate::problem::SolveScratch;
 use crate::Vm1Config;
 use std::sync::Arc;
 use vm1_netlist::Design;
@@ -107,10 +107,8 @@ pub struct Vm1Optimizer {
     cache: Option<SolveCache>,
     user_metrics: MetricsHandle,
     last_report: Option<MetricsReport>,
-    /// Persistent window-solver pool: workers are spawned once per
-    /// session and reused by every pass of every run (the workers of a
-    /// 1-thread config run inline, so no threads exist at all).
-    pool: WorkerPool,
+    /// One reusable solve buffer per window worker (`cfg.threads`).
+    scratch: Vec<SolveScratch>,
 }
 
 impl Vm1Optimizer {
@@ -120,28 +118,16 @@ impl Vm1Optimizer {
     #[must_use]
     pub fn new(cfg: Vm1Config) -> Vm1Optimizer {
         let cache = cfg.smart_window_selection.then(SolveCache::new);
-        let pool = WorkerPool::new(cfg.threads, cfg.sched);
+        let scratch = (0..cfg.threads.max(1))
+            .map(|_| SolveScratch::new())
+            .collect();
         Vm1Optimizer {
             cfg,
             cache,
             user_metrics: MetricsHandle::disabled(),
             last_report: None,
-            pool,
+            scratch,
         }
-    }
-
-    /// Replaces the session's worker pool with one scheduled by the
-    /// seeded adversary: every round's task distribution, steal-victim
-    /// rotation, and drain order are drawn from a deterministic
-    /// per-round stream (see `sched` module docs). Results must be
-    /// bit-identical to a normal run — this hook exists solely for the
-    /// schedule-permutation model-checking tests and is not part of the
-    /// stable API.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn with_adversarial_sched(mut self, seed: u64) -> Vm1Optimizer {
-        self.pool = WorkerPool::new_adversarial(self.cfg.threads, seed);
-        self
     }
 
     /// Enables the smart window-selection cache (paper improvement (ii)).
@@ -199,7 +185,7 @@ impl Vm1Optimizer {
         let metrics = self.user_metrics.and(telemetry.clone());
         let cfg = &self.cfg;
         let cache = self.cache.as_ref();
-        let pool = &self.pool;
+        let scratch = &mut self.scratch;
         let tech = design.library().tech();
         let site = tech.site_width.nm() as f64;
         let row = tech.row_height.nm() as f64;
@@ -238,7 +224,7 @@ impl Vm1Optimizer {
                     flip: false,
                 };
                 metrics.timed(Stage::Perturb, || {
-                    dist_opt_impl(design, &perturb, cfg, cache, &metrics, pool);
+                    dist_opt_impl(design, &perturb, cfg, cache, &metrics, scratch);
                 });
                 if let Some(snap) = &snap {
                     debug_checkpoint(
@@ -264,7 +250,7 @@ impl Vm1Optimizer {
                     flip: true,
                 };
                 metrics.timed(Stage::Flip, || {
-                    dist_opt_impl(design, &flip, cfg, cache, &metrics, pool);
+                    dist_opt_impl(design, &flip, cfg, cache, &metrics, scratch);
                 });
                 if let Some(snap) = &snap {
                     debug_checkpoint(
@@ -325,26 +311,13 @@ impl Vm1Optimizer {
             &self.cfg,
             self.cache.as_ref(),
             &metrics,
-            &self.pool,
+            &mut self.scratch,
         );
         let report = telemetry.report();
         let stats = DistOptStats::from_report(&report);
         self.last_report = Some(report);
         stats
     }
-}
-
-/// Runs the full vertical-M1 detailed-placement optimization (Algorithm 1)
-/// on `design` with the queue `cfg.sequence`.
-///
-/// The placement is modified in place and stays legal; returns run
-/// statistics.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Vm1Optimizer::new(cfg.clone()).run(design)` instead"
-)]
-pub fn vm1opt(design: &mut Design, cfg: &Vm1Config) -> OptStats {
-    Vm1Optimizer::new(cfg.clone()).run(design)
 }
 
 #[cfg(test)]
@@ -428,24 +401,6 @@ mod tests {
         let sg = Vm1Optimizer::new(cfg_g).run(&mut d_greedy);
         d_greedy.validate_placement().unwrap();
         assert!(se.final_obj <= sg.final_obj + 1e-6, "exact ≤ greedy");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_still_work() {
-        // The free functions must keep producing the same result as the
-        // session API so downstream code can migrate at leisure.
-        let mut d_old = setup(CellArch::ClosedM1, 150, 6);
-        let mut d_new = d_old.clone();
-        let cfg = crate::Vm1Config::closedm1().with_sequence(vec![ParamSet::new(3.0, 2, 1)]);
-        let s_old = vm1opt(&mut d_old, &cfg);
-        let s_new = Vm1Optimizer::new(cfg).run(&mut d_new);
-        for ((_, a), (_, b)) in d_old.insts().zip(d_new.insts()) {
-            assert_eq!((a.site, a.row, a.orient), (b.site, b.row, b.orient));
-        }
-        assert_eq!(s_old.final_obj, s_new.final_obj);
-        assert_eq!(s_old.iterations, s_new.iterations);
-        assert_eq!(s_old.cells_changed, s_new.cells_changed);
     }
 }
 

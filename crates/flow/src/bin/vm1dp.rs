@@ -49,7 +49,7 @@ use std::process::exit;
 use std::sync::Arc;
 use vm1_core::problem::{Overrides, WindowProblem};
 use vm1_core::window::WindowGrid;
-use vm1_core::{SchedPolicy, SolverKind, Vm1Config, Vm1Optimizer};
+use vm1_core::{SolverKind, Vm1Config, Vm1Optimizer};
 use vm1_netlist::generator::{DesignProfile, GeneratorConfig};
 use vm1_netlist::io::{read_def, write_def};
 use vm1_netlist::Design;
@@ -85,7 +85,6 @@ struct Opts {
     alpha: f64,
     solver: Option<SolverKind>,
     threads: Option<usize>,
-    sched: Option<SchedPolicy>,
     input: Option<String>,
     output: Option<String>,
     metrics_out: Option<String>,
@@ -104,7 +103,6 @@ impl Opts {
             alpha: f64::NAN,
             solver: None,
             threads: None,
-            sched: None,
             input: None,
             output: None,
             metrics_out: None,
@@ -169,13 +167,6 @@ impl Opts {
                     }
                     o.threads = Some(t);
                 }
-                "--sched" => {
-                    o.sched = Some(match val("--sched").as_str() {
-                        "worksteal" => SchedPolicy::WorkSteal,
-                        "staticchunk" => SchedPolicy::StaticChunk,
-                        other => usage(&format!("unknown sched policy {other}")),
-                    });
-                }
                 "-i" | "--input" => o.input = Some(val("-i")),
                 "-o" | "--output" => o.output = Some(val("-o")),
                 "--metrics-out" => o.metrics_out = Some(val("--metrics-out")),
@@ -202,14 +193,14 @@ fn usage(err: &str) -> ! {
     eprintln!(
         "usage: vm1dp <gen|opt|report|audit|certify|analyze> [--profile m0|aes|jpeg|vga] [--arch closedm1|openm1|conv12t]\n\
          \x20            [--scale F] [--seed N] [--alpha F] [--solver dfs|milp|greedy]\n\
-         \x20            [--threads N] [--sched worksteal|staticchunk]\n\
+         \x20            [--threads N]\n\
          \x20            [-i FILE] [-o FILE] [--metrics-out FILE(.json|.csv)] [--audit]\n\
          \x20            [--root DIR] [--format text|json]\n\
          \n\
-         --threads sets the optimizer's persistent worker pool size and\n\
-         --sched its window scheduling policy; results are bit-identical\n\
-         for every combination (only wall-clock and the scheduler gauges\n\
-         in --metrics-out change).\n\
+         --threads sets how many windows of a round are solved in parallel\n\
+         (default: the host's available parallelism); results are\n\
+         bit-identical for every thread count (only wall-clock and the\n\
+         scheduler gauges in --metrics-out change).\n\
          \n\
          certify optimizes with the MILP engine in proof-carrying mode: every\n\
          window solve is replayed by the exact-arithmetic certificate checker.\n\
@@ -256,15 +247,12 @@ fn save(design: &Design, opts: &Opts) {
     println!("wrote {path}");
 }
 
-/// Applies the `--threads` / `--sched` pool options to a config.
-fn apply_parallel(mut cfg: Vm1Config, opts: &Opts) -> Vm1Config {
-    if let Some(t) = opts.threads {
-        cfg = cfg.with_threads(t);
+/// Applies the `--threads` option to a config.
+fn apply_parallel(cfg: Vm1Config, opts: &Opts) -> Vm1Config {
+    match opts.threads {
+        Some(t) => cfg.with_threads(t),
+        None => cfg,
     }
-    if let Some(s) = opts.sched {
-        cfg = cfg.with_sched(s);
-    }
-    cfg
 }
 
 fn audit_config(opts: &Opts) -> Vm1Config {

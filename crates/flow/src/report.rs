@@ -282,12 +282,12 @@ mod tests {
     fn metrics_summary_shows_scheduler_gauges() {
         use vm1_obs::{MetricsSink, Telemetry};
         let t = Telemetry::new();
-        t.record_gauge(SchedGauge::Steals, 5);
         t.record_gauge(SchedGauge::TasksExecuted, 40);
+        t.record_gauge(SchedGauge::WorkerBusyNanos, 5);
         let text = format_metrics_summary(&t.report());
         assert!(text.contains("scheduler"));
-        assert!(text.contains("sched_steals"));
         assert!(text.contains("sched_tasks_executed"));
+        assert!(text.contains("sched_worker_busy_ns"));
         assert!(
             !text.contains("sched_queue_high_water"),
             "zero gauges are elided"

@@ -1,4 +1,4 @@
-//! Certificate checks on degenerate and adversarial LPs: redundant
+//! Certificate checks on degenerate and hard-case LPs: redundant
 //! rows (degenerate duals), infeasibility that per-row presolve cannot
 //! detect (a genuine Farkas witness), the warm-started zero-gap early
 //! exit, and mutation tests on solver-produced certificates.

@@ -287,15 +287,15 @@ impl Stage {
 /// How a gauge combines concurrent recordings.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum GaugeAgg {
-    /// Recordings add up (e.g. steal counts).
+    /// Recordings add up (e.g. tasks executed).
     Sum,
     /// Only the largest recording is kept (e.g. high-water marks).
     Max,
 }
 
-/// Scheduler observability gauges of the persistent `DistOpt` worker
-/// pool. Unlike [`Counter`] values, gauges are **scheduling-dependent**:
-/// steal counts and per-worker busy times vary run to run and with the
+/// Scheduler observability gauges of the `DistOpt` round workers.
+/// Unlike [`Counter`] values, gauges are **scheduling-dependent**:
+/// per-worker task counts and busy times vary run to run and with the
 /// thread count, so they are kept out of the counter determinism
 /// contract (determinism tests compare counters, never gauges).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -304,9 +304,7 @@ pub enum SchedGauge {
     /// Largest number of window tasks enqueued for a single round
     /// (queue-depth high-water mark).
     QueueHighWater,
-    /// Successful steals of a window task from another worker's deque.
-    Steals,
-    /// Window tasks executed by the pool workers (including the inline
+    /// Window tasks executed by the round workers (including the inline
     /// single-thread path).
     TasksExecuted,
     /// Total busy time over all workers, in nanoseconds (time spent
@@ -321,9 +319,8 @@ pub enum SchedGauge {
 
 impl SchedGauge {
     /// Every gauge, in discriminant order.
-    pub const ALL: [SchedGauge; 5] = [
+    pub const ALL: [SchedGauge; 4] = [
         SchedGauge::QueueHighWater,
-        SchedGauge::Steals,
         SchedGauge::TasksExecuted,
         SchedGauge::WorkerBusyNanos,
         SchedGauge::WorkerBusyMaxNanos,
@@ -334,7 +331,6 @@ impl SchedGauge {
     pub fn name(self) -> &'static str {
         match self {
             SchedGauge::QueueHighWater => "sched_queue_high_water",
-            SchedGauge::Steals => "sched_steals",
             SchedGauge::TasksExecuted => "sched_tasks_executed",
             SchedGauge::WorkerBusyNanos => "sched_worker_busy_ns",
             SchedGauge::WorkerBusyMaxNanos => "sched_worker_busy_max_ns",
@@ -346,9 +342,7 @@ impl SchedGauge {
     pub fn agg(self) -> GaugeAgg {
         match self {
             SchedGauge::QueueHighWater | SchedGauge::WorkerBusyMaxNanos => GaugeAgg::Max,
-            SchedGauge::Steals | SchedGauge::TasksExecuted | SchedGauge::WorkerBusyNanos => {
-                GaugeAgg::Sum
-            }
+            SchedGauge::TasksExecuted | SchedGauge::WorkerBusyNanos => GaugeAgg::Sum,
         }
     }
 }
@@ -876,15 +870,15 @@ mod tests {
         let t = Arc::new(Telemetry::new());
         let h = MetricsHandle::of(t.clone());
         // Sum gauge: recordings add up.
-        h.record_gauge(SchedGauge::Steals, 3);
-        h.record_gauge(SchedGauge::Steals, 4);
+        h.record_gauge(SchedGauge::TasksExecuted, 3);
+        h.record_gauge(SchedGauge::TasksExecuted, 4);
         // Max gauge: only the high-water mark survives.
         h.record_gauge(SchedGauge::QueueHighWater, 9);
         h.record_gauge(SchedGauge::QueueHighWater, 5);
         let r = t.report();
-        assert_eq!(r.gauge(SchedGauge::Steals), 7);
+        assert_eq!(r.gauge(SchedGauge::TasksExecuted), 7);
         assert_eq!(r.gauge(SchedGauge::QueueHighWater), 9);
-        assert!(r.to_json().contains("\"sched_steals\": 7"));
+        assert!(r.to_json().contains("\"sched_tasks_executed\": 7"));
         assert!(r.to_csv().contains("sched_queue_high_water,9\n"));
     }
 }

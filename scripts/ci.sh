@@ -45,27 +45,24 @@ cargo run --release -q -p vm1-flow --bin vm1dp -- \
 
 echo "== determinism: vm1dp opt bit-identical across thread counts =="
 # The scheduler contract: placements and every telemetry counter are
-# invariant under --threads/--sched; only stage times and the scheduler
-# gauges may differ. Diff the counter sections of two runs.
+# invariant under --threads; only stage times and the scheduler gauges
+# may differ. Diff the DEFs and counter sections of 1-, 2- and 8-thread
+# runs.
 cargo run --release -q -p vm1-flow --bin vm1dp -- \
     gen --profile m0 --scale 0.05 --seed 11 -o "$smoke_dir/det.def"
-cargo run --release -q -p vm1-flow --bin vm1dp -- \
-    opt -i "$smoke_dir/det.def" -o "$smoke_dir/det_t1.def" \
-    --threads 1 --metrics-out "$smoke_dir/det_t1.csv" > /dev/null
-cargo run --release -q -p vm1-flow --bin vm1dp -- \
-    opt -i "$smoke_dir/det.def" -o "$smoke_dir/det_t8.def" \
-    --threads 8 --sched worksteal --metrics-out "$smoke_dir/det_t8.csv" > /dev/null
-cargo run --release -q -p vm1-flow --bin vm1dp -- \
-    opt -i "$smoke_dir/det.def" -o "$smoke_dir/det_t8s.def" \
-    --threads 8 --sched staticchunk --metrics-out "$smoke_dir/det_t8s.csv" > /dev/null
-diff "$smoke_dir/det_t1.def" "$smoke_dir/det_t8.def"
-diff "$smoke_dir/det_t1.def" "$smoke_dir/det_t8s.def"
+for t in 1 2 8; do
+    cargo run --release -q -p vm1-flow --bin vm1dp -- \
+        opt -i "$smoke_dir/det.def" -o "$smoke_dir/det_t$t.def" \
+        --threads "$t" --metrics-out "$smoke_dir/det_t$t.csv" > /dev/null
+done
 # The CSV is "name,value" lines: stage times end in "_ms" and scheduler
 # gauges start with "sched_" — both legitimately run-dependent; every
 # remaining line is a deterministic counter.
 counters() { grep -Ev '(_ms,|^sched_)' "$1"; }
-diff <(counters "$smoke_dir/det_t1.csv") <(counters "$smoke_dir/det_t8.csv")
-diff <(counters "$smoke_dir/det_t1.csv") <(counters "$smoke_dir/det_t8s.csv")
+for t in 2 8; do
+    diff "$smoke_dir/det_t1.def" "$smoke_dir/det_t$t.def"
+    diff <(counters "$smoke_dir/det_t1.csv") <(counters "$smoke_dir/det_t$t.csv")
+done
 echo "determinism OK"
 
 echo "== certify: proof-carrying MILP solves on a generated micro design =="
