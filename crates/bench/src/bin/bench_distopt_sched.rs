@@ -14,9 +14,9 @@
 //!     [--insts N] [--iters K] [--baseline FILE] [--out FILE]
 //! ```
 
-use std::time::Instant;
 use vm1_bench::sched_bench::{bench_config, bench_design, bench_params, placement_digest};
 use vm1_core::Vm1Optimizer;
+use vm1_obs::timer::Stopwatch;
 
 const USAGE: &str =
     "usage: bench_distopt_sched [--insts N] [--iters K] [--baseline FILE] [--out FILE]";
@@ -90,13 +90,14 @@ fn main() {
         let _ = session.run_pass(&mut warm, &p);
         let d0 = placement_digest(&warm);
         if digest.is_some_and(|want| want != d0) {
-            panic!("{threads} threads produced a different placement");
+            eprintln!("error: {threads} threads produced a different placement");
+            std::process::exit(1);
         }
         digest = Some(d0);
         let mut ms: Vec<f64> = (0..iters)
             .map(|_| {
                 let mut d = base.clone();
-                let t0 = Instant::now();
+                let t0 = Stopwatch::start();
                 let _ = session.run_pass(&mut d, &p);
                 t0.elapsed().as_secs_f64() * 1e3
             })

@@ -22,9 +22,7 @@ fn main() {
         // Paper observations: #dM1 grows monotonically with α; RWL is
         // non-monotonic with a sweet spot at a mid α (1200 ClosedM1 /
         // 1000 OpenM1).
-        let best = rows
-            .iter()
-            .min_by(|a, b| a.rwl_um.partial_cmp(&b.rwl_um).unwrap());
+        let best = rows.iter().min_by(|a, b| a.rwl_um.total_cmp(&b.rwl_um));
         if let Some(b) = best {
             println!(
                 "# best RWL at alpha = {} (paper: 1200 ClosedM1 / 1000 OpenM1)",

@@ -7,10 +7,11 @@
 //! There are deliberately no conversions back to floating point on any
 //! path that feeds a verdict.
 
-// The arithmetic here is fallible (`Result<_, Overflow>`), so the std
-// operator traits — whose methods must return `Self` — cannot express
-// it; the inherent `add`/`sub`/`mul`/`div`/`neg` names are intentional.
-#![allow(clippy::should_implement_trait)]
+#![expect(
+    clippy::should_implement_trait,
+    reason = "the arithmetic is fallible (`Result<_, Overflow>`), which the std operator \
+              traits cannot express; the inherent add/sub/mul/div/neg names are intentional"
+)]
 
 use std::cmp::Ordering;
 use std::fmt;

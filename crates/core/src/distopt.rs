@@ -19,7 +19,7 @@ use crate::sched::Round;
 use crate::solver::solve_window_with;
 use crate::window::{Window, WindowGrid};
 use crate::Vm1Config;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use vm1_netlist::{Design, InstId};
 use vm1_obs::{Counter, MetricsHandle, MetricsReport, SchedGauge, Stage};
@@ -32,7 +32,7 @@ use vm1_place::{RowMap, SpanMove};
 /// The workers of a round share it by reference.
 #[derive(Debug, Default)]
 pub struct SolveCache {
-    no_gain: Mutex<HashSet<u64>>,
+    no_gain: Mutex<BTreeSet<u64>>,
 }
 
 impl SolveCache {
@@ -44,7 +44,7 @@ impl SolveCache {
 
     /// A poisoned lock only means another worker panicked mid-insert;
     /// the set of no-gain digests is append-only and stays valid.
-    fn lock(&self) -> MutexGuard<'_, HashSet<u64>> {
+    fn lock(&self) -> MutexGuard<'_, BTreeSet<u64>> {
         self.no_gain.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -227,7 +227,10 @@ pub(crate) struct WindowOutcome {
 
 /// Solves one window (with batching); returns the moves to commit plus
 /// batch accounting for the metrics layer.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the per-window inputs of a round worker"
+)]
 pub(crate) fn solve_one_window(
     design: &Design,
     rowmap: &RowMap,

@@ -13,7 +13,7 @@
 use crate::pairs::alignable_pairs;
 use crate::window::Window;
 use crate::Vm1Config;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use vm1_geom::Orient;
 use vm1_netlist::{Design, InstId, NetId, NetPin, PinRef};
 use vm1_place::RowMap;
@@ -127,7 +127,7 @@ pub struct WindowProblem {
 /// Placement override map used when a window is solved in batches: cells
 /// moved by earlier batches keep their new positions while later batches
 /// are built.
-pub type Overrides = HashMap<InstId, Candidate>;
+pub type Overrides = BTreeMap<InstId, Candidate>;
 
 /// Reusable buffers for window-problem construction. The optimizer
 /// session keeps one scratch per window worker and each worker threads
@@ -141,10 +141,7 @@ pub struct SolveScratch {
     ids: Vec<InstId>,
     /// Output buffer of [`WindowProblem::movable_in_window_into`].
     pub(crate) movable: Vec<InstId>,
-    /// Instance de-duplication set of the occupancy scan. Ordered
-    /// (`BTreeSet`) so the fixed-occupancy marking loop iterates in
-    /// instance order — occupancy marking is commutative, but rule D1
-    /// requires unordered-container iteration to be provably fixed.
+    /// Instance de-duplication set of the occupancy scan.
     seen: BTreeSet<InstId>,
 }
 
@@ -194,7 +191,10 @@ impl WindowProblem {
     /// positions. `overrides` supplies updated positions from earlier
     /// batches of the same window.
     #[must_use]
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the window, its move ranges and the batch state"
+    )]
     pub fn build(
         design: &Design,
         rowmap: &RowMap,
@@ -224,7 +224,10 @@ impl WindowProblem {
     /// [`WindowProblem::build`] with caller-owned scratch buffers (see
     /// [`SolveScratch`]); the hot path of the round workers.
     #[must_use]
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the window, its move ranges and the batch state"
+    )]
     pub fn build_with_scratch(
         design: &Design,
         rowmap: &RowMap,
@@ -243,8 +246,9 @@ impl WindowProblem {
         let gamma_span = (tech.row_height * cfg.gamma).nm();
         let delta = cfg.delta.nm();
 
-        let movable_set: HashMap<InstId, usize> =
-            movable.iter().enumerate().map(|(k, &id)| (id, k)).collect();
+        // Index of an instance in `movable`, if it is one; a batch holds
+        // at most `max_cells_per_milp` cells, so a scan beats a map.
+        let movable_idx = |id: InstId| movable.iter().position(|&m| m == id);
 
         // ---- occupancy -------------------------------------------------
         let mut occupied = vec![false; (window.w_sites * window.h_rows) as usize];
@@ -266,7 +270,7 @@ impl WindowProblem {
             scratch.seen.extend(scratch.ids.iter().copied());
         }
         for &id in &scratch.seen {
-            if movable_set.contains_key(&id) {
+            if movable_idx(id).is_some() {
                 continue;
             }
             let pos = view_pos(design, overrides, id);
@@ -327,66 +331,51 @@ impl WindowProblem {
         }
 
         // ---- nets -------------------------------------------------------
-        // Pin slots: per cell, the macro pin indices used by any net.
-        let mut slot_of: Vec<HashMap<usize, usize>> = vec![HashMap::new(); cells.len()];
+        // Pin slots: per cell, the macro pin indices used by any net, in
+        // first-use order; a pin's slot is its position in the list.
         let mut slot_pins: Vec<Vec<usize>> = vec![Vec::new(); cells.len()];
-        let intern = |cell: usize,
-                      pin: usize,
-                      slot_of: &mut Vec<HashMap<usize, usize>>,
-                      slot_pins: &mut Vec<Vec<usize>>| {
-            *slot_of[cell].entry(pin).or_insert_with(|| {
-                slot_pins[cell].push(pin);
-                slot_pins[cell].len() - 1
+        let intern = |pins: &mut Vec<usize>, pin: usize| {
+            pins.iter().position(|&p| p == pin).unwrap_or_else(|| {
+                pins.push(pin);
+                pins.len() - 1
             })
         };
 
-        let mut net_ids: Vec<NetId> = Vec::new();
-        {
-            let mut seen_net: HashMap<NetId, ()> = HashMap::new();
-            for &id in movable {
-                for n in design.inst_nets(id) {
-                    seen_net.entry(n).or_insert_with(|| {
-                        net_ids.push(n);
-                    });
-                }
-            }
-        }
+        let mut net_ids: Vec<NetId> = movable
+            .iter()
+            .flat_map(|&id| design.inst_nets(id))
+            .collect();
         net_ids.sort_unstable();
+        net_ids.dedup();
 
         let mut nets = Vec::with_capacity(net_ids.len());
         for net_id in net_ids {
             let mut fixed: Option<(i64, i64, i64, i64)> = None;
             let mut movable_pins = Vec::new();
             for &np in &design.net(net_id).pins {
-                match np {
-                    NetPin::Inst(pr) if movable_set.contains_key(&pr.inst) => {
-                        let cell = movable_set[&pr.inst];
-                        let slot = intern(cell, pr.pin, &mut slot_of, &mut slot_pins);
-                        movable_pins.push((cell, slot));
+                let g = match np {
+                    NetPin::Inst(pr) => {
+                        if let Some(cell) = movable_idx(pr.inst) {
+                            let slot = intern(&mut slot_pins[cell], pr.pin);
+                            movable_pins.push((cell, slot));
+                            continue;
+                        }
+                        geo_of(design, view_pos(design, overrides, pr.inst), pr)
                     }
-                    other => {
-                        let g = match other {
-                            NetPin::Inst(pr) => {
-                                geo_of(design, view_pos(design, overrides, pr.inst), pr)
-                            }
-                            NetPin::Port(p) => {
-                                let pos = design.port(p).position;
-                                PinGeo {
-                                    x: pos.x.nm(),
-                                    y: pos.y.nm(),
-                                    x_lo: pos.x.nm(),
-                                    x_hi: pos.x.nm(),
-                                }
-                            }
-                        };
-                        fixed = Some(match fixed {
-                            None => (g.x, g.y, g.x, g.y),
-                            Some((x0, y0, x1, y1)) => {
-                                (x0.min(g.x), y0.min(g.y), x1.max(g.x), y1.max(g.y))
-                            }
-                        });
+                    NetPin::Port(p) => {
+                        let pos = design.port(p).position;
+                        PinGeo {
+                            x: pos.x.nm(),
+                            y: pos.y.nm(),
+                            x_lo: pos.x.nm(),
+                            x_hi: pos.x.nm(),
+                        }
                     }
-                }
+                };
+                fixed = Some(match fixed {
+                    None => (g.x, g.y, g.x, g.y),
+                    Some((x0, y0, x1, y1)) => (x0.min(g.x), y0.min(g.y), x1.max(g.x), y1.max(g.y)),
+                });
             }
             nets.push(LocalNet {
                 weight: cfg.net_weight(net_id),
@@ -401,27 +390,20 @@ impl WindowProblem {
         if arch.allows_inter_row_m1() {
             let all = alignable_pairs(design, cfg);
             for &(p, q, _net) in &all.pairs {
-                let pm = movable_set.get(&p.inst);
-                let qm = movable_set.get(&q.inst);
+                let pm = movable_idx(p.inst);
+                let qm = movable_idx(q.inst);
                 if pm.is_none() && qm.is_none() {
                     continue;
                 }
-                let mk_end = |pr: PinRef,
-                              m: Option<&usize>,
-                              slot_of: &mut Vec<HashMap<usize, usize>>,
-                              slot_pins: &mut Vec<Vec<usize>>| {
-                    match m {
-                        Some(&cell) => {
-                            let slot = intern(cell, pr.pin, slot_of, slot_pins);
-                            End::Movable { cell, slot }
-                        }
-                        None => {
-                            End::Fixed(geo_of(design, view_pos(design, overrides, pr.inst), pr))
-                        }
-                    }
+                let mut mk_end = |pr: PinRef, m: Option<usize>| match m {
+                    Some(cell) => End::Movable {
+                        cell,
+                        slot: intern(&mut slot_pins[cell], pr.pin),
+                    },
+                    None => End::Fixed(geo_of(design, view_pos(design, overrides, pr.inst), pr)),
                 };
-                let a = mk_end(p, pm, &mut slot_of, &mut slot_pins);
-                let b = mk_end(q, qm, &mut slot_of, &mut slot_pins);
+                let a = mk_end(p, pm);
+                let b = mk_end(q, qm);
                 pairs.push(LocalPair {
                     a,
                     b,

@@ -265,7 +265,10 @@ fn dfs_recurse(st: &mut DfsState<'_>, depth: usize) {
         // ---- apply -----------------------------------------------------
         st.assign[cell] = k;
         st.spans[cell] = Some(span);
-        #[allow(clippy::type_complexity)] // (net, old bbox, old weighted HPWL)
+        #[expect(
+            clippy::type_complexity,
+            reason = "(net, old bbox, old weighted HPWL) undo records"
+        )]
         let mut undo_bb: Vec<(usize, Option<(i64, i64, i64, i64)>, f64)> = Vec::new();
         for &ni in &st.cell_nets[cell].clone() {
             let net = &st.prob.nets[ni];

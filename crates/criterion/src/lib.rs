@@ -32,6 +32,10 @@ pub struct Bencher {
 impl Bencher {
     /// Times `f` over the configured number of samples (stopping early
     /// when the measurement-time budget runs out).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a benchmark timer reads the clock by design; its timings never feed results"
+    )]
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut f: F) {
         // One untimed warmup pass.
         std::hint::black_box(f());

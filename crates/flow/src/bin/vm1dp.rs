@@ -8,7 +8,6 @@
 //! vm1dp report -i optimized.def --arch closedm1
 //! vm1dp audit  -i optimized.def --arch closedm1
 //! vm1dp certify -i design.def --arch closedm1 -o optimized.def
-//! vm1dp analyze --root . --format json --metrics-out analyze.json
 //! ```
 //!
 //! `--metrics-out` exports the run's telemetry (solver counters, stage
@@ -29,15 +28,8 @@
 //! | 4    | dM1 recount disagrees with the objective  |
 //! | 5    | MILP model lint error                     |
 //! | 6    | solve certificate rejected by the checker |
-//! | 7    | static-analysis findings (`analyze`)      |
 //!
 //! When several classes fail, the smallest failing code wins.
-//!
-//! `analyze` runs the `vm1-analyze` determinism & concurrency lints over
-//! the workspace sources under `--root` (default `.`), prints the
-//! findings as text or JSON (`--format json`), records the
-//! `analyze_findings` / `analyze_waived` counters into `--metrics-out`,
-//! and exits 7 when any unwaived finding remains.
 //!
 //! `certify` runs the optimization with the MILP engine in
 //! proof-carrying mode: every window solve records a branch-and-bound
@@ -71,7 +63,6 @@ fn main() {
         "report" => cmd_report(&opts),
         "audit" => cmd_audit(&opts),
         "certify" => cmd_certify(&opts),
-        "analyze" => cmd_analyze(&opts),
         "--help" | "-h" => usage(""),
         other => usage(&format!("unknown subcommand {other}")),
     }
@@ -89,8 +80,6 @@ struct Opts {
     output: Option<String>,
     metrics_out: Option<String>,
     audit: bool,
-    root: Option<String>,
-    format_json: bool,
 }
 
 impl Opts {
@@ -107,8 +96,6 @@ impl Opts {
             output: None,
             metrics_out: None,
             audit: false,
-            root: None,
-            format_json: false,
         };
         let mut it = args.iter();
         while let Some(a) = it.next() {
@@ -171,14 +158,6 @@ impl Opts {
                 "-o" | "--output" => o.output = Some(val("-o")),
                 "--metrics-out" => o.metrics_out = Some(val("--metrics-out")),
                 "--audit" => o.audit = true,
-                "--root" => o.root = Some(val("--root")),
-                "--format" => {
-                    o.format_json = match val("--format").as_str() {
-                        "json" => true,
-                        "text" => false,
-                        other => usage(&format!("unknown format {other}")),
-                    }
-                }
                 other => usage(&format!("unknown option {other}")),
             }
         }
@@ -191,11 +170,10 @@ fn usage(err: &str) -> ! {
         eprintln!("error: {err}");
     }
     eprintln!(
-        "usage: vm1dp <gen|opt|report|audit|certify|analyze> [--profile m0|aes|jpeg|vga] [--arch closedm1|openm1|conv12t]\n\
+        "usage: vm1dp <gen|opt|report|audit|certify> [--profile m0|aes|jpeg|vga] [--arch closedm1|openm1|conv12t]\n\
          \x20            [--scale F] [--seed N] [--alpha F] [--solver dfs|milp|greedy]\n\
          \x20            [--threads N]\n\
          \x20            [-i FILE] [-o FILE] [--metrics-out FILE(.json|.csv)] [--audit]\n\
-         \x20            [--root DIR] [--format text|json]\n\
          \n\
          --threads sets how many windows of a round are solved in parallel\n\
          (default: the host's available parallelism); results are\n\
@@ -205,13 +183,10 @@ fn usage(err: &str) -> ! {
          certify optimizes with the MILP engine in proof-carrying mode: every\n\
          window solve is replayed by the exact-arithmetic certificate checker.\n\
          \n\
-         analyze runs the vm1-analyze determinism & concurrency lints over\n\
-         the workspace sources under --root (default `.`).\n\
-         \n\
-         audit/certify/analyze exit codes (smallest failing class wins):\n\
+         audit/certify exit codes (smallest failing class wins):\n\
          \x20  0 clean   1 I/O error   2 usage   3 placement violation\n\
          \x20  4 dM1 recount mismatch   5 MILP model lint error\n\
-         \x20  6 solve certificate rejected   7 static-analysis findings"
+         \x20  6 solve certificate rejected"
     );
     exit(if err.is_empty() { 0 } else { 2 });
 }
@@ -373,7 +348,10 @@ fn cmd_gen(opts: &Opts) {
         .generate(&lib, opts.seed);
     place(&mut design, &PlaceConfig::default(), opts.seed);
     let _refine = greedy_refine(&mut design, 3, 2);
-    design.validate_placement().expect("legal placement");
+    if let Err(e) = design.validate_placement() {
+        eprintln!("error: the placer left an illegal placement: {e}");
+        exit(1);
+    }
     println!(
         "generated {}: {} instances, {} nets, {} rows x {} sites",
         design.name(),
@@ -517,41 +495,15 @@ fn cmd_certify(opts: &Opts) {
     println!("certify clean");
 }
 
-/// `vm1dp analyze`: run the `vm1-analyze` determinism & concurrency
-/// lints over the workspace sources. Findings print as text or JSON
-/// (`--format json`); the `analyze_findings` / `analyze_waived` counters
-/// are recorded into `--metrics-out`. Exits 7 when any unwaived finding
-/// remains, 1 on I/O errors.
-fn cmd_analyze(opts: &Opts) {
-    let root = opts.root.as_deref().unwrap_or(".");
-    let report = vm1_analyze::analyze_workspace(std::path::Path::new(root)).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        exit(1);
-    });
-    if opts.format_json {
-        println!("{}", report.to_json());
-    } else {
-        print!("{}", report.to_text());
-    }
-    let unwaived = report.unwaived().count() as u64;
-    let waived = report.waived().count() as u64;
-    if opts.metrics_out.is_some() {
-        let sink = Arc::new(Telemetry::new());
-        let metrics = MetricsHandle::of(sink.clone());
-        metrics.add(Counter::AnalyzeFindings, unwaived);
-        metrics.add(Counter::AnalyzeWaived, waived);
-        write_metrics_out(&sink.report(), opts);
-    }
-    if unwaived > 0 {
-        exit(7);
-    }
-}
-
 fn cmd_report(opts: &Opts) {
     let design = load(opts);
     let r = route(&design, &RouterConfig::default());
-    let clock = min_clock_period(&design, Some(&r)).expect("acyclic") * 1.02;
-    let t = analyze(&design, Some(&r), clock).expect("acyclic");
+    let timing_error = |e: vm1_timing::TimingError| -> ! {
+        eprintln!("error: cannot time {}: {e}", design.name());
+        exit(1);
+    };
+    let clock = min_clock_period(&design, Some(&r)).unwrap_or_else(|e| timing_error(e)) * 1.02;
+    let t = analyze(&design, Some(&r), clock).unwrap_or_else(|e| timing_error(e));
     let p = power(&design, Some(&r), clock);
     println!(
         "design    : {} ({} insts, {} nets)",

@@ -85,6 +85,7 @@ pub struct Testcase {
 /// Panics if the synthetic netlist contains a combinational loop or the
 /// placer produced an illegal placement (neither can happen for the
 /// levelized generator plus legalizing placer).
+#[expect(clippy::expect_used, reason = "documented # Panics contract")]
 #[must_use]
 pub fn build_testcase(cfg: &FlowConfig) -> Testcase {
     let library = Library::synthetic_7nm(cfg.arch);
@@ -94,10 +95,10 @@ pub fn build_testcase(cfg: &FlowConfig) -> Testcase {
         .generate(&library, cfg.seed);
     place(&mut design, &PlaceConfig::default(), cfg.seed);
     let _refine = greedy_refine(&mut design, 3, 2);
-    design.validate_placement().expect("placement is legal"); // lint: allow(documented `# Panics` contract)
+    design.validate_placement().expect("placement is legal");
 
     let initial_route = route(&design, &cfg.router);
-    let clock_ps = min_clock_period(&design, Some(&initial_route)).expect("acyclic netlist") * 1.02; // lint: allow(documented `# Panics` contract)
+    let clock_ps = min_clock_period(&design, Some(&initial_route)).expect("acyclic netlist") * 1.02;
     Testcase {
         design,
         clock_ps,
@@ -123,6 +124,7 @@ pub fn measure(tc: &Testcase, vm1_cfg: &Vm1Config) -> (Snapshot, RouteResult) {
 /// Panics on a cyclic netlist (cannot happen for generated designs), or
 /// when [`crate::audit_mode`] is enabled and the design being measured
 /// fails the placement/dM1 audit.
+#[expect(clippy::expect_used, reason = "documented # Panics contract")]
 #[must_use]
 pub fn measure_with(
     tc: &Testcase,
@@ -134,7 +136,7 @@ pub fn measure_with(
     crate::audit_mode::audit_checkpoint(&tc.design, vm1_cfg, "measure");
     let r = metrics.timed(Stage::Route, || route(&tc.design, &tc.router));
     let (timing, p) = metrics.timed(Stage::Analysis, || {
-        let timing = analyze(&tc.design, Some(&r), tc.clock_ps).expect("acyclic netlist"); // lint: allow(documented `# Panics` contract)
+        let timing = analyze(&tc.design, Some(&r), tc.clock_ps).expect("acyclic netlist");
         let p = power(&tc.design, Some(&r), tc.clock_ps);
         (timing, p)
     });
@@ -164,6 +166,7 @@ pub fn measure_with(
 ///
 /// Panics if the optimizer leaves an illegal placement behind (the
 /// `--audit` invariants catch this earlier in debug builds).
+#[expect(clippy::expect_used, reason = "documented # Panics contract")]
 #[must_use]
 pub fn optimize_and_measure(tc: &mut Testcase, vm1_cfg: &Vm1Config) -> ExperimentRow {
     let telemetry = Arc::new(Telemetry::new());
@@ -174,7 +177,7 @@ pub fn optimize_and_measure(tc: &mut Testcase, vm1_cfg: &Vm1Config) -> Experimen
         .run(&mut tc.design);
     tc.design
         .validate_placement()
-        .expect("optimizer preserves legality"); // lint: allow(documented `# Panics` contract)
+        .expect("optimizer preserves legality");
     crate::audit_mode::audit_checkpoint(&tc.design, vm1_cfg, "post-optimize");
     let (fin, _) = measure_with(tc, vm1_cfg, &metrics);
     ExperimentRow {

@@ -20,10 +20,11 @@ use vm1_timing::net_slacks;
 /// # Panics
 ///
 /// Panics on a cyclic netlist (cannot happen for generated designs).
+#[expect(clippy::expect_used, reason = "documented # Panics contract")]
 #[must_use]
 pub fn net_criticality_weights(tc: &Testcase, boost: f64) -> Vec<f64> {
     let r = route(&tc.design, &tc.router);
-    let slacks = net_slacks(&tc.design, Some(&r), tc.clock_ps).expect("acyclic netlist"); // lint: allow(documented `# Panics` contract)
+    let slacks = net_slacks(&tc.design, Some(&r), tc.clock_ps).expect("acyclic netlist");
     slacks
         .iter()
         .map(|&s| {

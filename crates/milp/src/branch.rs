@@ -619,7 +619,10 @@ const _: fn() = || {
 };
 
 #[cfg(test)]
-#[allow(clippy::needless_range_loop)] // index loops mirror the matrix formulations
+#[expect(
+    clippy::needless_range_loop,
+    reason = "index loops mirror the matrix formulations"
+)]
 mod tests {
     use super::*;
     use crate::model::Model;

@@ -11,7 +11,10 @@
 //
 // The simplex kernel walks parallel dense arrays (x, basis, binv, w) by
 // row index; zipped iterators would obscure the linear algebra.
-#![allow(clippy::needless_range_loop)]
+#![expect(
+    clippy::needless_range_loop,
+    reason = "index loops mirror the tableau formulation"
+)]
 use crate::model::{ConstraintSense, Model};
 use crate::tol::{
     COST_TOL, FEAS_TOL, PHASE1_INFEAS_TOL, PIVOT_MIN, PIVOT_SKIP_TOL, RATIO_TIE_TOL,

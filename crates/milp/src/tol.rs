@@ -3,8 +3,9 @@
 //!
 //! Every floating-point slack the MILP crate uses lives here, with its
 //! rationale, instead of as an anonymous `1e-…` literal at the point of
-//! use (`scripts/lint` forbids raw negative-exponent float literals in
-//! this crate's library code outside this module). Two groups:
+//! use (`crates/flow/tests/source_policy.rs` forbids raw
+//! negative-exponent float literals in this crate's library code outside
+//! this module). Two groups:
 //!
 //! * **Solver tolerances** — how far the simplex / branch-and-bound let
 //!   floating arithmetic drift before a comparison flips. These are

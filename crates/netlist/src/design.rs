@@ -214,13 +214,14 @@ impl Design {
     ///
     /// Panics if the pin name does not exist on the instance's macro or the
     /// pin is already connected.
+    #[expect(clippy::panic, reason = "documented # Panics contract")]
     pub fn connect(&mut self, inst: InstId, pin_name: &str, net: NetId) {
         let cell = self.insts[inst.0].cell;
         let pin = self
             .library
             .cell(cell)
             .pin_index(pin_name)
-            .unwrap_or_else(|| panic!("no pin {pin_name} on {}", self.library.cell(cell).name)); // lint: allow(documented `# Panics` contract)
+            .unwrap_or_else(|| panic!("no pin {pin_name} on {}", self.library.cell(cell).name));
         assert!(
             self.insts[inst.0].pin_nets[pin].is_none(),
             "pin {pin_name} of {} already connected",

@@ -155,7 +155,8 @@ impl GeneratorConfig {
 
         // ---- choose cells ----------------------------------------------
         let comb_choices = comb_cell_weights(library, self.xor_bias);
-        let dff = *library.sequential().first().expect("library has a DFF"); // lint: allow(documented `# Panics` contract)
+        #[expect(clippy::expect_used, reason = "documented # Panics contract")]
+        let dff = *library.sequential().first().expect("library has a DFF");
         let n_ff = ((self.n_insts as f64) * self.ff_ratio).round() as usize;
         let n_comb = self.n_insts.saturating_sub(n_ff).max(1);
 

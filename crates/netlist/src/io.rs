@@ -17,6 +17,7 @@
 //! ```
 
 use crate::{Design, DesignError, NetPin};
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use vm1_geom::{Dbu, Orient, Point};
@@ -105,14 +106,14 @@ pub fn write_def(design: &Design) -> String {
 /// # Errors
 ///
 /// Returns [`ReadDefError`] on grammar violations, unknown references, or
-/// architecture mismatch. Connectivity is re-validated after parsing.
+/// architecture mismatch, and when a net names a pin its cell lacks or
+/// connects a pin or port that is already connected. Connectivity is
+/// re-validated after parsing.
 pub fn read_def(text: &str, library: &Library) -> Result<Design, ReadDefError> {
-    use std::collections::HashMap;
-
     let mut design: Option<Design> = None;
     let mut name = String::from("unnamed");
-    let mut port_ids: HashMap<String, crate::PortId> = HashMap::new();
-    let mut inst_ids: HashMap<String, crate::InstId> = HashMap::new();
+    let mut port_ids: BTreeMap<String, crate::PortId> = BTreeMap::new();
+    let mut inst_ids: BTreeMap<String, crate::InstId> = BTreeMap::new();
     let mut core: Option<(i64, i64)> = None;
 
     let syntax = |ln: usize, m: &str| ReadDefError::Syntax(ln + 1, m.to_owned());
@@ -196,6 +197,9 @@ pub fn read_def(text: &str, library: &Library) -> Result<Design, ReadDefError> {
                         let &pid = port_ids.get(pname).ok_or_else(|| {
                             ReadDefError::Unknown(ln + 1, format!("port {pname}"))
                         })?;
+                        if d.port(pid).net.is_some() {
+                            return Err(syntax(ln, &format!("port {pname} connected twice")));
+                        }
                         d.connect_port(pid, net);
                     } else if let Some(rest) = conn.strip_prefix("I:") {
                         let (iname, pin) = rest
@@ -204,6 +208,13 @@ pub fn read_def(text: &str, library: &Library) -> Result<Design, ReadDefError> {
                         let &iid = inst_ids.get(iname).ok_or_else(|| {
                             ReadDefError::Unknown(ln + 1, format!("inst {iname}"))
                         })?;
+                        let inst = d.inst(iid);
+                        let idx = library.cell(inst.cell).pin_index(pin).ok_or_else(|| {
+                            ReadDefError::Unknown(ln + 1, format!("pin {iname}:{pin}"))
+                        })?;
+                        if inst.pin_nets[idx].is_some() {
+                            return Err(syntax(ln, &format!("pin {iname}:{pin} connected twice")));
+                        }
                         d.connect(iid, pin, net);
                     } else {
                         return Err(syntax(ln, "conn must start with P: or I:"));
@@ -303,6 +314,39 @@ mod tests {
         assert!(matches!(
             read_def(bad, &lib),
             Err(ReadDefError::Unknown(5, _))
+        ));
+    }
+
+    const ONE_INV: &str = "VM1DEF 1\nDESIGN x\nARCH ClosedM1\nCORE 2 20\n\
+                            PORT a 0 0 IN\nINST u0 INV_X1 0 0 N PLACED\n";
+
+    #[test]
+    fn unknown_pin_rejected() {
+        let lib = Library::synthetic_7nm(CellArch::ClosedM1);
+        let bad = format!("{ONE_INV}NET n0 P:a I:u0:BOGUS\n");
+        assert_eq!(
+            read_def(&bad, &lib).err(),
+            Some(ReadDefError::Unknown(7, "pin u0:BOGUS".into()))
+        );
+    }
+
+    #[test]
+    fn pin_connected_twice_rejected() {
+        let lib = Library::synthetic_7nm(CellArch::ClosedM1);
+        let bad = format!("{ONE_INV}NET n0 P:a I:u0:A\nNET n1 I:u0:A\n");
+        assert!(matches!(
+            read_def(&bad, &lib),
+            Err(ReadDefError::Syntax(8, msg)) if msg.contains("u0:A connected twice")
+        ));
+    }
+
+    #[test]
+    fn port_connected_twice_rejected() {
+        let lib = Library::synthetic_7nm(CellArch::ClosedM1);
+        let bad = format!("{ONE_INV}NET n0 P:a I:u0:A\nNET n1 P:a\n");
+        assert!(matches!(
+            read_def(&bad, &lib),
+            Err(ReadDefError::Syntax(8, msg)) if msg.contains("port a connected twice")
         ));
     }
 

@@ -126,17 +126,11 @@ pub enum Counter {
     CertVerified,
     /// Certificates rejected by the exact-arithmetic checker.
     CertRejected,
-    /// Unwaived findings reported by the `vm1-analyze` static
-    /// determinism/concurrency lint pack.
-    AnalyzeFindings,
-    /// Findings suppressed by a reasoned waiver marker
-    /// (`// analyze: nondeterministic-ok(..)` / `// lint: allow(..)`).
-    AnalyzeWaived,
 }
 
 impl Counter {
     /// Every counter, in discriminant order.
-    pub const ALL: [Counter; 31] = [
+    pub const ALL: [Counter; 29] = [
         Counter::BbNodes,
         Counter::BbNodesPruned,
         Counter::LpSolves,
@@ -166,8 +160,6 @@ impl Counter {
         Counter::CertRecorded,
         Counter::CertVerified,
         Counter::CertRejected,
-        Counter::AnalyzeFindings,
-        Counter::AnalyzeWaived,
     ];
 
     /// Stable snake_case name used as the JSON/CSV key.
@@ -203,8 +195,6 @@ impl Counter {
             Counter::CertRecorded => "cert_recorded",
             Counter::CertVerified => "cert_verified",
             Counter::CertRejected => "cert_rejected",
-            Counter::AnalyzeFindings => "analyze_findings",
-            Counter::AnalyzeWaived => "analyze_waived",
         }
     }
 }

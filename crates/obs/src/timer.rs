@@ -1,11 +1,13 @@
 //! The workspace's single home for wall-clock reads.
 //!
-//! Determinism rule D2 (see `vm1-analyze` and DESIGN.md §10) forbids
-//! `Instant::now` / `SystemTime` / `std::time` reads anywhere in library
-//! code except this module: clock reads are inherently nondeterministic,
-//! so confining them here keeps every other path auditable as
-//! order-independent. Solver code that needs elapsed time takes a
-//! [`Stopwatch`]; nothing outside this module touches the OS clock.
+//! Determinism rule D2 (DESIGN.md §10) forbids `Instant::now` and
+//! `SystemTime::now`/`elapsed` everywhere except [`Stopwatch::start`]:
+//! `clippy.toml` lists them under `disallowed-methods`, and the one
+//! sanctioned read carries a reasoned `#[expect]`. Clock reads are
+//! inherently nondeterministic, so confining them here keeps every other
+//! path auditable as order-independent. Code that needs elapsed time
+//! takes a [`Stopwatch`]; apart from the criterion shim's benchmark
+//! timer, nothing else touches the OS clock.
 //!
 //! `std::time::Duration` is a pure value type (no clock read) and may be
 //! used anywhere.
@@ -21,6 +23,10 @@ pub struct Stopwatch {
 impl Stopwatch {
     /// Starts a stopwatch (the one sanctioned clock read).
     #[must_use]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "D2: the workspace's one sanctioned clock read"
+    )]
     pub fn start() -> Stopwatch {
         Stopwatch {
             start: Instant::now(),

@@ -220,7 +220,7 @@ mod tests {
         }
         legalize_abacus(&mut d).unwrap();
         d.validate_placement().unwrap();
-        let rows_used: std::collections::HashSet<i64> = d.insts().map(|(_, i)| i.row).collect();
+        let rows_used: std::collections::BTreeSet<i64> = d.insts().map(|(_, i)| i.row).collect();
         assert_eq!(rows_used.len(), 2, "third cell spills to row 1");
     }
 

@@ -296,8 +296,14 @@ pub mod test_runner {
     /// Drives one property test: generates inputs from `strategy` until
     /// `config.cases` cases have been accepted, panicking on the first
     /// failure with the offending input.
-    // By-value `strategy` mirrors the upstream proptest signature.
-    #[allow(clippy::needless_pass_by_value)]
+    #[expect(
+        clippy::needless_pass_by_value,
+        reason = "by-value `strategy` mirrors the upstream proptest signature"
+    )]
+    #[expect(
+        clippy::panic,
+        reason = "a failing property must fail the test that runs it"
+    )]
     pub fn run<S, F>(config: &ProptestConfig, name: &str, strategy: S, body: F)
     where
         S: Strategy,

@@ -4,20 +4,20 @@
 //! correctness statement about the router and is checked with a
 //! union-find over grid nodes.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use vm1_netlist::generator::{DesignProfile, GeneratorConfig};
 use vm1_place::{place, PlaceConfig};
 use vm1_route::{route, RouterConfig, RoutingGrid, Segment};
 use vm1_tech::{CellArch, Layer, Library};
 
 struct Dsu {
-    parent: HashMap<u64, u64>,
+    parent: BTreeMap<u64, u64>,
 }
 
 impl Dsu {
     fn new() -> Dsu {
         Dsu {
-            parent: HashMap::new(),
+            parent: BTreeMap::new(),
         }
     }
     fn find(&mut self, x: u64) -> u64 {
@@ -93,7 +93,7 @@ fn check_connectivity(arch: CellArch, n: usize, seed: u64) {
         // Conservative completion: union any pair of nodes at the same
         // (x, y) on adjacent layers that both appear in the net's node
         // set.
-        let mut present: HashMap<(i64, i64), Vec<usize>> = HashMap::new();
+        let mut present: BTreeMap<(i64, i64), Vec<usize>> = BTreeMap::new();
         let mut all_nodes: Vec<(usize, i64, i64)> = Vec::new();
         for s in &nr.segments {
             all_nodes.extend(seg_nodes(s));

@@ -215,11 +215,12 @@ impl MacroCell {
     /// Panics if the cell has no output pin (never happens for generated
     /// libraries).
     #[must_use]
+    #[expect(clippy::expect_used, reason = "documented # Panics contract")]
     pub fn output_pin(&self) -> &MacroPin {
         self.pins
             .iter()
             .find(|p| p.dir == PinDir::Out)
-            .expect("cell has an output pin") // lint: allow(documented `# Panics` contract)
+            .expect("cell has an output pin")
     }
 
     /// Looks up a pin by name.

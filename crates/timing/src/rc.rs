@@ -79,8 +79,6 @@ mod tests {
     }
 
     use vm1_netlist::Design;
-    use vm1_route::RouteResult as RR;
-    type RouteResultAlias = RR;
 
     #[test]
     fn routed_cap_positive_and_scales_with_length() {
@@ -127,7 +125,4 @@ mod tests {
             }
         }
     }
-
-    #[allow(dead_code)]
-    fn type_uses(_: RouteResultAlias) {}
 }
