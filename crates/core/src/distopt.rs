@@ -12,8 +12,11 @@
 //! Occupancy is maintained incrementally: the [`RowMap`] is built once
 //! per pass and patched with the committed moves after every round (see
 //! [`vm1_place::RowMap::patch_moves`]), so round setup cost scales with
-//! what changed instead of with design size.
+//! what changed instead of with design size. The eligible pin pairs do
+//! not depend on the placement; their [`PairIndex`] is built once per
+//! pass too, and each window batch looks up only its own instances.
 
+use crate::pairs::PairIndex;
 use crate::problem::{Candidate, Overrides, SolveScratch, WindowProblem};
 use crate::sched::Round;
 use crate::solver::solve_window_with;
@@ -135,6 +138,7 @@ pub(crate) fn dist_opt_impl(
     // Build occupancy once per pass; rounds patch it incrementally.
     let mut rowmap = RowMap::build(design);
     metrics.incr(Counter::RowMapBuilds);
+    let pairs = PairIndex::build(design, cfg);
 
     for set in &sets {
         let windows: Vec<Window> = set.iter().map(|&i| grid.windows[i]).collect();
@@ -142,6 +146,7 @@ pub(crate) fn dist_opt_impl(
         let outcomes = Round {
             design,
             rowmap: &rowmap,
+            pairs: &pairs,
             windows: &windows,
             p,
             cfg,
@@ -234,6 +239,7 @@ pub(crate) struct WindowOutcome {
 pub(crate) fn solve_one_window(
     design: &Design,
     rowmap: &RowMap,
+    pairs: &PairIndex,
     win: Window,
     p: &DistOptParams,
     cfg: &Vm1Config,
@@ -253,9 +259,11 @@ pub(crate) fn solve_one_window(
         batches_skipped: 0,
     };
     for batch in movable.chunks(cfg.max_cells_per_milp.max(1)) {
-        let prob = WindowProblem::build_with_scratch(
-            design, rowmap, win, batch, p.lx, p.ly, p.flip, cfg, &overrides, scratch,
-        );
+        let prob = metrics.timed(Stage::WindowBuild, || {
+            WindowProblem::build_with_scratch(
+                design, rowmap, pairs, win, batch, p.lx, p.ly, p.flip, cfg, &overrides, scratch,
+            )
+        });
         let digest = prob.state_digest();
         if let Some(c) = cache {
             if c.known_no_gain(digest) {
@@ -425,6 +433,7 @@ mod tests {
         let (base, cfg) = setup(CellArch::ClosedM1, 250, 8);
         let p = params(&base);
         let rm = RowMap::build(&base);
+        let pairs = PairIndex::build(&base, &cfg);
         let grid = WindowGrid::partition(&base, p.tx, p.ty, p.bw_sites, p.bh_rows);
         let set = grid
             .diagonal_sets()
@@ -449,6 +458,7 @@ mod tests {
                 slots[k] = Some(solve_one_window(
                     &base,
                     &rm,
+                    &pairs,
                     win,
                     &p,
                     &cfg,
@@ -488,12 +498,14 @@ mod tests {
         let (d, cfg) = setup(CellArch::ClosedM1, 250, 7);
         let p = params(&d);
         let rm = RowMap::build(&d);
+        let pairs = PairIndex::build(&d, &cfg);
         let grid = WindowGrid::partition(&d, p.tx, p.ty, p.bw_sites, p.bh_rows);
         let metrics = MetricsHandle::disabled();
         let mut scratch = SolveScratch::new();
         let mut moves_seen = 0usize;
         for &win in &grid.windows {
-            let out = solve_one_window(&d, &rm, win, &p, &cfg, None, &metrics, &mut scratch);
+            let out =
+                solve_one_window(&d, &rm, &pairs, win, &p, &cfg, None, &metrics, &mut scratch);
             for (inst, cand) in &out.moves {
                 let i = d.inst(*inst);
                 assert_ne!(

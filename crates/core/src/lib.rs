@@ -70,5 +70,5 @@ pub use audit::{audit_design, audit_design_with, recount_alignments, DesignAudit
 pub use config::{ParamSet, SolverKind, Vm1Config};
 pub use distopt::{DistOptParams, DistOptStats, SolveCache};
 pub use objective::{calculate_obj, count_alignments, overlap_stats, Objective};
-pub use pairs::{alignable_pairs, pair_aligned, PinPairs};
+pub use pairs::{alignable_pairs, pair_aligned, PairIndex, PinPairs};
 pub use session::{OptStats, Vm1Optimizer};

@@ -2,7 +2,7 @@
 
 use crate::Vm1Config;
 use vm1_geom::Dbu;
-use vm1_netlist::{Design, NetId, NetPin, PinRef};
+use vm1_netlist::{Design, InstId, NetId, NetPin, PinRef};
 use vm1_tech::{CellArch, Layer};
 
 /// All pin pairs eligible for a `d_pq` variable: cell-pin pairs of the
@@ -61,6 +61,58 @@ pub fn alignable_pairs(design: &Design, cfg: &Vm1Config) -> PinPairs {
         }
     }
     PinPairs { pairs }
+}
+
+/// The eligible pairs of [`alignable_pairs`] with an instance → pairs
+/// adjacency in CSR form. Eligibility depends on the netlist, the library
+/// pin layers and `max_net_pins`, never on the placement, so one index
+/// serves a whole `DistOpt` pass.
+#[derive(Clone, Debug, Default)]
+pub struct PairIndex {
+    pairs: PinPairs,
+    /// `adj[start[i]..start[i + 1]]` are the pairs touching instance `i`,
+    /// in ascending pair order.
+    start: Vec<usize>,
+    adj: Vec<usize>,
+}
+
+impl PairIndex {
+    /// Enumerates the eligible pairs of `design` and indexes them by
+    /// instance.
+    #[must_use]
+    pub fn build(design: &Design, cfg: &Vm1Config) -> PairIndex {
+        let pairs = alignable_pairs(design, cfg);
+        let mut start = vec![0usize; design.num_insts() + 1];
+        for (p, q, _) in &pairs.pairs {
+            start[p.inst.0 + 1] += 1;
+            start[q.inst.0 + 1] += 1;
+        }
+        for i in 1..start.len() {
+            start[i] += start[i - 1];
+        }
+        let mut fill = start.clone();
+        let mut adj = vec![0usize; 2 * pairs.len()];
+        for (pi, (p, q, _)) in pairs.pairs.iter().enumerate() {
+            for inst in [p.inst, q.inst] {
+                adj[fill[inst.0]] = pi;
+                fill[inst.0] += 1;
+            }
+        }
+        PairIndex { pairs, start, adj }
+    }
+
+    /// Every eligible pair, in [`alignable_pairs`] order.
+    #[must_use]
+    pub fn pairs(&self) -> &[(PinRef, PinRef, NetId)] {
+        &self.pairs.pairs
+    }
+
+    /// Indices into [`PairIndex::pairs`] of the pairs with an endpoint on
+    /// `inst`, ascending.
+    #[must_use]
+    pub fn pairs_of(&self, inst: InstId) -> &[usize] {
+        &self.adj[self.start[inst.0]..self.start[inst.0 + 1]]
+    }
 }
 
 /// The layer signal pins live on for each architecture.

@@ -10,7 +10,7 @@
 //! greedy — consumes this structure, which guarantees they optimize the
 //! identical objective.
 
-use crate::pairs::alignable_pairs;
+use crate::pairs::PairIndex;
 use crate::window::Window;
 use crate::Vm1Config;
 use std::collections::{BTreeMap, BTreeSet};
@@ -143,6 +143,8 @@ pub struct SolveScratch {
     pub(crate) movable: Vec<InstId>,
     /// Instance de-duplication set of the occupancy scan.
     seen: BTreeSet<InstId>,
+    /// Pair indices touching the batch ([`PairIndex::pairs_of`]).
+    pair_ids: Vec<usize>,
 }
 
 impl SolveScratch {
@@ -189,7 +191,9 @@ impl WindowProblem {
     /// filtered to cells wholly inside the window); every other instance
     /// intersecting the window contributes fixed occupancy and fixed pin
     /// positions. `overrides` supplies updated positions from earlier
-    /// batches of the same window.
+    /// batches of the same window. Enumerates the design's eligible pin
+    /// pairs; callers building many problems of one design share a
+    /// [`PairIndex`] through [`WindowProblem::build_with_scratch`].
     #[must_use]
     #[expect(
         clippy::too_many_arguments,
@@ -210,6 +214,7 @@ impl WindowProblem {
         WindowProblem::build_with_scratch(
             design,
             rowmap,
+            &PairIndex::build(design, cfg),
             window,
             movable,
             lx,
@@ -221,8 +226,9 @@ impl WindowProblem {
         )
     }
 
-    /// [`WindowProblem::build`] with caller-owned scratch buffers (see
-    /// [`SolveScratch`]); the hot path of the round workers.
+    /// [`WindowProblem::build`] with the design's pair index `pairs` and
+    /// caller-owned scratch buffers (see [`SolveScratch`]); the hot path
+    /// of the round workers.
     #[must_use]
     #[expect(
         clippy::too_many_arguments,
@@ -231,6 +237,7 @@ impl WindowProblem {
     pub fn build_with_scratch(
         design: &Design,
         rowmap: &RowMap,
+        pairs: &PairIndex,
         window: Window,
         movable: &[InstId],
         lx: i64,
@@ -386,30 +393,26 @@ impl WindowProblem {
         }
 
         // ---- pairs -------------------------------------------------------
-        let mut pairs = Vec::new();
-        if arch.allows_inter_row_m1() {
-            let all = alignable_pairs(design, cfg);
-            for &(p, q, _net) in &all.pairs {
-                let pm = movable_idx(p.inst);
-                let qm = movable_idx(q.inst);
-                if pm.is_none() && qm.is_none() {
-                    continue;
-                }
-                let mut mk_end = |pr: PinRef, m: Option<usize>| match m {
-                    Some(cell) => End::Movable {
-                        cell,
-                        slot: intern(&mut slot_pins[cell], pr.pin),
-                    },
-                    None => End::Fixed(geo_of(design, view_pos(design, overrides, pr.inst), pr)),
-                };
-                let a = mk_end(p, pm);
-                let b = mk_end(q, qm);
-                pairs.push(LocalPair {
-                    a,
-                    b,
-                    max_bonus: 0.0, // filled after pin_geo is computed
-                });
-            }
+        // Every pair touching the batch, in ascending index order: the
+        // order of a scan over all eligible pairs.
+        batch_pairs(pairs, movable, &mut scratch.pair_ids);
+        let mut local_pairs = Vec::with_capacity(scratch.pair_ids.len());
+        for &pi in &scratch.pair_ids {
+            let (p, q, _net) = pairs.pairs()[pi];
+            let mut mk_end = |pr: PinRef| match movable_idx(pr.inst) {
+                Some(cell) => End::Movable {
+                    cell,
+                    slot: intern(&mut slot_pins[cell], pr.pin),
+                },
+                None => End::Fixed(geo_of(design, view_pos(design, overrides, pr.inst), pr)),
+            };
+            let a = mk_end(p);
+            let b = mk_end(q);
+            local_pairs.push(LocalPair {
+                a,
+                b,
+                max_bonus: 0.0, // filled after pin_geo is computed
+            });
         }
 
         // ---- pin geometry cache ------------------------------------------
@@ -439,7 +442,7 @@ impl WindowProblem {
             cells,
             pin_geo,
             nets,
-            pairs,
+            pairs: local_pairs,
             window,
             occupied,
             alpha: cfg.alpha,
@@ -462,22 +465,24 @@ impl WindowProblem {
         let exact = self.exact;
         let alpha = self.alpha;
         let epsilon = self.epsilon;
-        let geos_of = |e: &End| -> Vec<PinGeo> {
-            match *e {
-                End::Fixed(g) => vec![g],
-                End::Movable { cell, slot } => (0..cells[cell].cands.len())
-                    .map(|k| pin_geo[cell][k][slot])
-                    .collect(),
-            }
+        // An endpoint's geometry under each of its candidates (one for a
+        // fixed pin).
+        let n_geos = |e: &End| match *e {
+            End::Fixed(_) => 1,
+            End::Movable { cell, .. } => cells[cell].cands.len(),
+        };
+        let geo = |e: &End, k: usize| match *e {
+            End::Fixed(g) => g,
+            End::Movable { cell, slot } => pin_geo[cell][k][slot],
         };
         self.pairs.retain_mut(|pair| {
-            let ga = geos_of(&pair.a);
-            let gb = geos_of(&pair.b);
             // Feasibility and max bonus over candidate combinations
             // (coarse O(|A|·|B|) scan; window candidate counts are small).
             let mut best: Option<i64> = None;
-            for a in &ga {
-                for b in &gb {
+            for i in 0..n_geos(&pair.a) {
+                let a = geo(&pair.a, i);
+                for j in 0..n_geos(&pair.b) {
+                    let b = geo(&pair.b, j);
                     if (a.y - b.y).abs() > gamma_span {
                         continue;
                     }
@@ -589,8 +594,28 @@ impl WindowProblem {
     /// Bonus contributed by one pair under `assign` (0 when not aligned).
     #[must_use]
     pub fn pair_bonus(&self, pair: &LocalPair, assign: &[usize]) -> f64 {
-        let a = self.end_geo(&pair.a, assign);
-        let b = self.end_geo(&pair.b, assign);
+        self.bonus_of(self.end_geo(&pair.a, assign), self.end_geo(&pair.b, assign))
+    }
+
+    /// [`WindowProblem::pair_bonus`] with `cell` at candidate `k` and
+    /// every other cell at `assign`.
+    #[must_use]
+    pub fn pair_bonus_with(
+        &self,
+        pair: &LocalPair,
+        assign: &[usize],
+        cell: usize,
+        k: usize,
+    ) -> f64 {
+        let geo = |e: &End| match *e {
+            End::Movable { cell: c, slot } if c == cell => self.pin_geo[cell][k][slot],
+            _ => self.end_geo(e, assign),
+        };
+        self.bonus_of(geo(&pair.a), geo(&pair.b))
+    }
+
+    /// Bonus of a pin pair at geometries `a` and `b` (0 when not aligned).
+    fn bonus_of(&self, a: PinGeo, b: PinGeo) -> f64 {
         if (a.y - b.y).abs() > self.gamma_span {
             return 0.0;
         }
@@ -710,9 +735,22 @@ impl WindowProblem {
     }
 }
 
+/// Collects into `ids` the indices of the pairs of `index` with an
+/// endpoint in `movable`, ascending and without repeats.
+fn batch_pairs(index: &PairIndex, movable: &[InstId], ids: &mut Vec<usize>) {
+    ids.clear();
+    for &inst in movable {
+        ids.extend_from_slice(index.pairs_of(inst));
+    }
+    ids.sort_unstable();
+    ids.dedup();
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pairs::alignable_pairs;
+    use crate::window::WindowGrid;
     use vm1_netlist::generator::{DesignProfile, GeneratorConfig};
     use vm1_place::{place, PlaceConfig};
     use vm1_tech::{CellArch, Library};
@@ -849,6 +887,39 @@ mod tests {
         for p in &prob.pairs {
             assert!(p.max_bonus >= cfg.alpha);
         }
+    }
+
+    #[test]
+    fn pair_index_selects_what_a_full_scan_selects() {
+        // Oracle: the scan over every eligible pair of the design that the
+        // window build ran per batch before the index existed.
+        for arch in [CellArch::ClosedM1, CellArch::OpenM1] {
+            let (d, cfg) = setup(arch);
+            let all = alignable_pairs(&d, &cfg);
+            let index = PairIndex::build(&d, &cfg);
+            assert_eq!(index.pairs(), all.pairs.as_slice());
+            let rm = RowMap::build(&d);
+            let grid = WindowGrid::partition(&d, 0, 0, 40, 4);
+            let mut ids = Vec::new();
+            let mut batches = 0;
+            for win in &grid.windows {
+                let movable = WindowProblem::movable_in_window(&d, &rm, win, &Overrides::new());
+                for batch in movable.chunks(cfg.max_cells_per_milp) {
+                    batch_pairs(&index, batch, &mut ids);
+                    let oracle: Vec<usize> = (0..all.len())
+                        .filter(|&i| {
+                            let (p, q, _) = all.pairs[i];
+                            batch.contains(&p.inst) || batch.contains(&q.inst)
+                        })
+                        .collect();
+                    assert_eq!(ids, oracle, "{arch:?} {win:?}");
+                    batches += 1;
+                }
+            }
+            assert!(batches > 1, "{arch:?}: {batches} batches");
+        }
+        let (d, cfg) = setup(CellArch::Conv12T);
+        assert!(PairIndex::build(&d, &cfg).pairs().is_empty());
     }
 
     #[test]

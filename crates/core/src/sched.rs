@@ -21,6 +21,7 @@
 //! scheduling-dependent.
 
 use crate::distopt::{solve_one_window, DistOptParams, SolveCache, WindowOutcome};
+use crate::pairs::PairIndex;
 use crate::problem::SolveScratch;
 use crate::window::Window;
 use crate::Vm1Config;
@@ -38,6 +39,8 @@ pub(crate) struct Round<'a> {
     pub design: &'a Design,
     /// Occupancy index matching `design`.
     pub rowmap: &'a RowMap,
+    /// Eligible pin pairs of `design`, indexed by instance.
+    pub pairs: &'a PairIndex,
     /// The round's windows (one diagonal set, in window-index order).
     pub windows: &'a [Window],
     /// DistOpt parameters of the pass.
@@ -97,6 +100,7 @@ impl Round<'_> {
             let outcome = solve_one_window(
                 self.design,
                 self.rowmap,
+                self.pairs,
                 win,
                 self.p,
                 self.cfg,
@@ -186,12 +190,14 @@ mod tests {
             workers: Mutex::new(Vec::new()),
         });
         let rowmap = RowMap::build(&d);
+        let cfg = Vm1Config::closedm1();
         let round = Round {
             design: &d,
             rowmap: &rowmap,
+            pairs: &PairIndex::build(&d, &cfg),
             windows: &windows,
             p: &p,
-            cfg: &Vm1Config::closedm1(),
+            cfg: &cfg,
             cache: None,
             metrics: &MetricsHandle::of(log.clone()),
         };

@@ -2,14 +2,16 @@
 //!
 //! All three consume a [`WindowProblem`] and return a candidate assignment
 //! that is legal and no worse than the input placement. The DFS and MILP
-//! solvers find the same optimum (cross-checked in tests); the DFS solver
-//! exploits the fact that every auxiliary MILP variable (net bounds,
-//! `d_pq`, `o_pq`) is uniquely determined by the λ assignment, so the
-//! search space is just one candidate choice per cell with admissible
-//! bounds.
+//! solvers find the same optimum (cross-checked in tests) unless their
+//! node budget `max_nodes` cuts the search short; a cut DFS solve returns
+//! its best assignment so far and counts under
+//! [`Counter::DfsBudgetExhausted`]. The DFS solver exploits the fact that
+//! every auxiliary MILP variable (net bounds, `d_pq`, `o_pq`) is uniquely
+//! determined by the λ assignment, so the search space is just one
+//! candidate choice per cell with admissible bounds.
 
 use crate::milp::{build_milp, extract_assignment, warm_start};
-use crate::problem::{End, WindowProblem};
+use crate::problem::{End, PinGeo, WindowProblem};
 use crate::{SolverKind, Vm1Config};
 use vm1_milp::{solve as milp_solve, solve_certified, SolveParams};
 use vm1_obs::{Counter, MetricsHandle, Stage};
@@ -24,8 +26,9 @@ pub fn solve_window(prob: &WindowProblem, cfg: &Vm1Config) -> Vec<usize> {
 }
 
 /// [`solve_window`] with a metrics sink: records solver-engine counters
-/// ([`Counter::DfsNodes`], [`Counter::GreedyPasses`], the MILP family) and
-/// the MILP build/solve stage timers.
+/// ([`Counter::DfsNodes`], [`Counter::DfsBudgetExhausted`],
+/// [`Counter::GreedyPasses`], the MILP family) and the MILP build/solve
+/// stage timers.
 #[must_use]
 pub fn solve_window_with(
     prob: &WindowProblem,
@@ -37,8 +40,11 @@ pub fn solve_window_with(
     }
     let result = match cfg.solver {
         SolverKind::Dfs => {
-            let (assign, nodes) = dfs_solve_counted(prob, cfg.max_nodes);
+            let (assign, nodes, truncated) = dfs_solve_counted(prob, cfg.max_nodes);
             metrics.add(Counter::DfsNodes, nodes as u64);
+            if truncated {
+                metrics.incr(Counter::DfsBudgetExhausted);
+            }
             assign
         }
         SolverKind::Milp => milp_window_solve_with(prob, cfg, metrics),
@@ -130,6 +136,22 @@ pub fn milp_window_solve_with(
 // Exact DFS branch-and-bound
 // ---------------------------------------------------------------------------
 
+/// A net bounding box `(x0, y0, x1, y1)` in nm.
+type BBox = (i64, i64, i64, i64);
+
+/// The pins of one cell on one net: `net`, its β weight and the cell's
+/// pin slots `DfsState::slots[lo..hi]`.
+#[derive(Clone, Copy)]
+struct CellNet {
+    net: usize,
+    weight: f64,
+    lo: usize,
+    hi: usize,
+}
+
+/// Search state. Everything the search touches per node is allocated
+/// once per solve: the per-depth candidate buffers and the undo stacks
+/// are reused at every node.
 struct DfsState<'a> {
     prob: &'a WindowProblem,
     /// Cell order (most constrained first).
@@ -145,28 +167,58 @@ struct DfsState<'a> {
     open_bonus: f64,
     /// Bonus collected from decided pairs.
     done_bonus: f64,
-    /// Per net: current bbox (fixed ∪ assigned pins) and its HPWL.
-    net_bb: Vec<Option<(i64, i64, i64, i64)>>,
+    /// Per net: current bbox (fixed ∪ assigned pins).
+    net_bb: Vec<Option<BBox>>,
     hpwl_partial: f64,
-    /// Which pairs/nets touch each cell.
+    /// Pin geometry, flat: pin `slot` of cell `c` under candidate `k` is
+    /// `geo[geo_base[c] + k * nslots[c] + slot]`.
+    geo: Vec<PinGeo>,
+    geo_base: Vec<usize>,
+    nslots: Vec<usize>,
+    /// Which pairs touch each cell.
     cell_pairs: Vec<Vec<usize>>,
-    cell_nets: Vec<Vec<usize>>,
-    /// Spans of assigned cells for legality.
-    spans: Vec<Option<(i64, i64, i64)>>,
+    /// The nets of each cell, in net order, with their pin slots.
+    cell_nets: Vec<Vec<CellNet>>,
+    slots: Vec<usize>,
+    /// Spans `(row, site0, site1)` of the assigned cells, by depth.
+    spans: Vec<(i64, i64, i64)>,
+    /// Per depth: `(local score, candidate)` in trial order.
+    cand_order: Vec<Vec<(f64, usize)>>,
+    /// Undo records `(net, old bbox, old − new weighted HPWL)`.
+    undo_bb: Vec<(usize, Option<BBox>, f64)>,
+    /// Undo records `(pair, bonus collected)` of pairs decided.
+    undo_pairs: Vec<(usize, f64)>,
 }
 
-/// Exact branch-and-bound over candidate assignments.
+/// `bb` grown to cover pin `g`.
+fn grow(bb: Option<BBox>, g: PinGeo) -> BBox {
+    match bb {
+        None => (g.x, g.y, g.x, g.y),
+        Some((x0, y0, x1, y1)) => (x0.min(g.x), y0.min(g.y), x1.max(g.x), y1.max(g.y)),
+    }
+}
+
+/// β-weighted HPWL of a bounding box (0 for no pins).
+fn weighted_hpwl(weight: f64, bb: Option<BBox>) -> f64 {
+    bb.map_or(0.0, |(x0, y0, x1, y1)| {
+        weight * ((x1 - x0) + (y1 - y0)) as f64
+    })
+}
+
+/// Exact branch-and-bound over candidate assignments, cut short after
+/// `max_nodes` search nodes (it then returns the best assignment found).
 #[must_use]
 pub fn dfs_solve(prob: &WindowProblem, max_nodes: usize) -> Vec<usize> {
     dfs_solve_counted(prob, max_nodes).0
 }
 
-/// [`dfs_solve`] also returning the number of search nodes explored.
-fn dfs_solve_counted(prob: &WindowProblem, max_nodes: usize) -> (Vec<usize>, usize) {
+/// [`dfs_solve`] also returning the number of search nodes explored and
+/// whether the search stopped at `max_nodes`.
+fn dfs_solve_counted(prob: &WindowProblem, max_nodes: usize) -> (Vec<usize>, usize, bool) {
     let n = prob.cells.len();
     let cur = prob.current_assign();
 
-    // Cell → pairs / nets indices.
+    // Cell → pairs indices.
     let mut cell_pairs = vec![Vec::new(); n];
     let mut pair_open = vec![0u8; prob.pairs.len()];
     for (pi, pair) in prob.pairs.iter().enumerate() {
@@ -177,30 +229,57 @@ fn dfs_solve_counted(prob: &WindowProblem, max_nodes: usize) -> (Vec<usize>, usi
             }
         }
     }
-    let mut cell_nets = vec![Vec::new(); n];
+    // Cell → nets, each with the cell's pin slots on that net.
+    let mut cell_nets: Vec<Vec<CellNet>> = vec![Vec::new(); n];
+    let mut slots = Vec::new();
     for (ni, net) in prob.nets.iter().enumerate() {
         for &(cell, _) in &net.movable {
-            if !cell_nets[cell].contains(&ni) {
-                cell_nets[cell].push(ni);
+            if cell_nets[cell].last().is_some_and(|cn| cn.net == ni) {
+                continue;
             }
+            let lo = slots.len();
+            slots.extend(
+                net.movable
+                    .iter()
+                    .filter(|&&(c2, _)| c2 == cell)
+                    .map(|&(_, slot)| slot),
+            );
+            cell_nets[cell].push(CellNet {
+                net: ni,
+                weight: net.weight,
+                lo,
+                hi: slots.len(),
+            });
+        }
+    }
+    let mut geo = Vec::new();
+    let mut geo_base = Vec::with_capacity(n);
+    let mut nslots = Vec::with_capacity(n);
+    for per_cand in &prob.pin_geo {
+        geo_base.push(geo.len());
+        nslots.push(per_cand.first().map_or(0, Vec::len));
+        for pins in per_cand {
+            geo.extend_from_slice(pins);
         }
     }
 
     let open_bonus: f64 = prob.pairs.iter().map(|p| p.max_bonus).sum();
-    let net_bb: Vec<Option<(i64, i64, i64, i64)>> = prob.nets.iter().map(|nt| nt.fixed).collect();
+    let net_bb: Vec<Option<BBox>> = prob.nets.iter().map(|nt| nt.fixed).collect();
     let hpwl_partial: f64 = prob
         .nets
         .iter()
-        .map(|nt| {
-            nt.fixed.map_or(0.0, |(x0, y0, x1, y1)| {
-                nt.weight * ((x1 - x0) + (y1 - y0)) as f64
-            })
-        })
+        .map(|nt| weighted_hpwl(nt.weight, nt.fixed))
         .sum();
 
     // Order: most constrained (fewest candidates) first.
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by_key(|&c| prob.cells[c].cands.len());
+    let cand_order = order
+        .iter()
+        .map(|&c| Vec::with_capacity(prob.cells[c].cands.len()))
+        .collect();
+    let undo_bb = Vec::with_capacity(cell_nets.iter().map(Vec::len).sum());
+    let undo_pairs = Vec::with_capacity(prob.pairs.len());
 
     let mut st = DfsState {
         prob,
@@ -215,13 +294,20 @@ fn dfs_solve_counted(prob: &WindowProblem, max_nodes: usize) -> (Vec<usize>, usi
         done_bonus: 0.0,
         net_bb,
         hpwl_partial,
+        geo,
+        geo_base,
+        nslots,
         cell_pairs,
         cell_nets,
-        spans: vec![None; n],
+        slots,
+        spans: Vec::with_capacity(n),
+        cand_order,
+        undo_bb,
+        undo_pairs,
     };
     dfs_recurse(&mut st, 0);
-    let nodes = st.nodes;
-    (st.best_assign, nodes)
+    let truncated = st.nodes >= max_nodes;
+    (st.best_assign, st.nodes, truncated)
 }
 
 fn dfs_recurse(st: &mut DfsState<'_>, depth: usize) {
@@ -232,31 +318,32 @@ fn dfs_recurse(st: &mut DfsState<'_>, depth: usize) {
         let obj = st.hpwl_partial - st.done_bonus;
         if obj < st.best_obj - 1e-9 {
             st.best_obj = obj;
-            st.best_assign = st.assign.clone();
+            st.best_assign.copy_from_slice(&st.assign);
         }
         return;
     }
     let cell = st.order[depth];
-    let n_cands = st.prob.cells[cell].cands.len();
+    let width = st.prob.cells[cell].width;
 
     // Candidate order: cheapest local cost first for early incumbents.
-    let mut cand_order: Vec<(f64, usize)> = (0..n_cands)
-        .map(|k| (local_score(st, cell, k), k))
-        .collect();
+    let mut cand_order = std::mem::take(&mut st.cand_order[depth]);
+    cand_order.clear();
+    for k in 0..st.prob.cells[cell].cands.len() {
+        cand_order.push((local_score(st, cell, k), k));
+    }
     cand_order.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
 
-    for (_, k) in cand_order {
+    for &(_, k) in &cand_order {
         st.nodes += 1;
         if st.nodes >= st.max_nodes {
-            return;
+            break;
         }
         let cand = st.prob.cells[cell].cands[k];
         // Legality against assigned cells.
-        let span = (cand.row, cand.site, cand.site + st.prob.cells[cell].width);
+        let span = (cand.row, cand.site, cand.site + width);
         let clash = st
             .spans
             .iter()
-            .flatten()
             .any(|&(r, s0, s1)| r == span.0 && s1 > span.1 && span.2 > s0);
         if clash {
             continue;
@@ -264,47 +351,31 @@ fn dfs_recurse(st: &mut DfsState<'_>, depth: usize) {
 
         // ---- apply -----------------------------------------------------
         st.assign[cell] = k;
-        st.spans[cell] = Some(span);
-        #[expect(
-            clippy::type_complexity,
-            reason = "(net, old bbox, old weighted HPWL) undo records"
-        )]
-        let mut undo_bb: Vec<(usize, Option<(i64, i64, i64, i64)>, f64)> = Vec::new();
-        for &ni in &st.cell_nets[cell].clone() {
-            let net = &st.prob.nets[ni];
-            let old = st.net_bb[ni];
-            let old_hp = old.map_or(0.0, |(x0, y0, x1, y1)| {
-                net.weight * ((x1 - x0) + (y1 - y0)) as f64
-            });
+        st.spans.push(span);
+        let bb_mark = st.undo_bb.len();
+        let pair_mark = st.undo_pairs.len();
+        let geo_row = st.geo_base[cell] + k * st.nslots[cell];
+        for cn in &st.cell_nets[cell] {
+            let old = st.net_bb[cn.net];
+            let old_hp = weighted_hpwl(cn.weight, old);
             // Grow by every pin of this cell on this net.
             let mut bb = old;
-            for &(c2, slot) in &net.movable {
-                if c2 == cell {
-                    let g = st.prob.pin_geo[cell][k][slot];
-                    bb = Some(match bb {
-                        None => (g.x, g.y, g.x, g.y),
-                        Some((x0, y0, x1, y1)) => {
-                            (x0.min(g.x), y0.min(g.y), x1.max(g.x), y1.max(g.y))
-                        }
-                    });
-                }
+            for &slot in &st.slots[cn.lo..cn.hi] {
+                bb = Some(grow(bb, st.geo[geo_row + slot]));
             }
-            let new_hp = bb.map_or(0.0, |(x0, y0, x1, y1)| {
-                net.weight * ((x1 - x0) + (y1 - y0)) as f64
-            });
-            st.net_bb[ni] = bb;
+            let new_hp = weighted_hpwl(cn.weight, bb);
+            st.net_bb[cn.net] = bb;
             st.hpwl_partial += new_hp - old_hp;
-            undo_bb.push((ni, old, old_hp - new_hp));
+            st.undo_bb.push((cn.net, old, old_hp - new_hp));
         }
-        let mut undo_pairs: Vec<(usize, f64)> = Vec::new();
-        for &pi in &st.cell_pairs[cell].clone() {
+        for &pi in &st.cell_pairs[cell] {
             st.pair_open[pi] -= 1;
             if st.pair_open[pi] == 0 {
                 // Pair decided: replace potential with actual bonus.
                 let actual = st.prob.pair_bonus(&st.prob.pairs[pi], &st.assign);
                 st.open_bonus -= st.prob.pairs[pi].max_bonus;
                 st.done_bonus += actual;
-                undo_pairs.push((pi, actual));
+                st.undo_pairs.push((pi, actual));
             }
         }
 
@@ -314,49 +385,41 @@ fn dfs_recurse(st: &mut DfsState<'_>, depth: usize) {
             dfs_recurse(st, depth + 1);
         }
 
-        // ---- undo ---------------------------------------------------------
-        for (pi, actual) in undo_pairs.into_iter().rev() {
+        // ---- undo (last applied first) -----------------------------------
+        for (pi, actual) in st.undo_pairs.drain(pair_mark..).rev() {
             st.done_bonus -= actual;
             st.open_bonus += st.prob.pairs[pi].max_bonus;
         }
         for &pi in &st.cell_pairs[cell] {
             st.pair_open[pi] += 1;
         }
-        for (ni, old, hp_delta) in undo_bb.into_iter().rev() {
+        for (ni, old, hp_delta) in st.undo_bb.drain(bb_mark..).rev() {
             st.net_bb[ni] = old;
             st.hpwl_partial += hp_delta;
         }
-        st.spans[cell] = None;
+        st.spans.pop();
     }
+    st.cand_order[depth] = cand_order;
     st.assign[cell] = st.prob.cells[cell].current;
 }
 
 /// Heuristic per-candidate score used only for move ordering.
 fn local_score(st: &DfsState<'_>, cell: usize, k: usize) -> f64 {
-    let prob = st.prob;
     let mut score = 0.0;
-    for &ni in &st.cell_nets[cell] {
-        let net = &prob.nets[ni];
-        let mut bb = st.net_bb[ni];
-        for &(c2, slot) in &net.movable {
-            if c2 == cell {
-                let g = prob.pin_geo[cell][k][slot];
-                bb = Some(match bb {
-                    None => (g.x, g.y, g.x, g.y),
-                    Some((x0, y0, x1, y1)) => (x0.min(g.x), y0.min(g.y), x1.max(g.x), y1.max(g.y)),
-                });
-            }
+    let geo_row = st.geo_base[cell] + k * st.nslots[cell];
+    for cn in &st.cell_nets[cell] {
+        let mut bb = st.net_bb[cn.net];
+        for &slot in &st.slots[cn.lo..cn.hi] {
+            bb = Some(grow(bb, st.geo[geo_row + slot]));
         }
-        score += bb.map_or(0.0, |(x0, y0, x1, y1)| {
-            net.weight * ((x1 - x0) + (y1 - y0)) as f64
-        });
+        score += weighted_hpwl(cn.weight, bb);
     }
     // Reward candidates that immediately decide pairs favourably.
     for &pi in &st.cell_pairs[cell] {
         if st.pair_open[pi] == 1 {
-            let mut tmp = st.assign.clone();
-            tmp[cell] = k;
-            score -= prob.pair_bonus(&prob.pairs[pi], &tmp);
+            score -= st
+                .prob
+                .pair_bonus_with(&st.prob.pairs[pi], &st.assign, cell, k);
         }
     }
     score
@@ -566,10 +629,24 @@ mod tests {
 
     #[test]
     fn node_cap_still_returns_legal() {
+        use std::sync::Arc;
+        use vm1_obs::Telemetry;
         let prob = problem(CellArch::ClosedM1, 6, 8);
         let a = dfs_solve(&prob, 10); // absurdly small budget
         assert!(prob.is_legal(&a));
         assert!(prob.eval(&a) <= prob.eval(&prob.current_assign()) + 1e-9);
+        // A cut search is counted once; a complete one not at all.
+        for (max_nodes, cut) in [(10, 1), (usize::MAX, 0)] {
+            let mut cfg = Vm1Config::closedm1();
+            cfg.max_nodes = max_nodes;
+            let sink = Arc::new(Telemetry::new());
+            let _ = solve_window_with(&prob, &cfg, &MetricsHandle::of(sink.clone()));
+            let report = sink.report();
+            assert_eq!(report.counter(Counter::DfsBudgetExhausted), cut);
+            if cut == 0 {
+                assert!(report.counter(Counter::DfsNodes) > 10, "10 nodes must cut");
+            }
+        }
     }
 
     #[test]

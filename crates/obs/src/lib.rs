@@ -72,6 +72,10 @@ pub enum Counter {
     MilpFallbacks,
     /// Nodes explored by the exact DFS window solver.
     DfsNodes,
+    /// DFS window solves cut short by the node budget (`max_nodes`);
+    /// such a solve returns its best assignment so far, which need not
+    /// be optimal.
+    DfsBudgetExhausted,
     /// Improvement passes executed by the greedy window solver.
     GreedyPasses,
     /// Windows visited that contained at least one movable cell.
@@ -130,7 +134,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in discriminant order.
-    pub const ALL: [Counter; 29] = [
+    pub const ALL: [Counter; 30] = [
         Counter::BbNodes,
         Counter::BbNodesPruned,
         Counter::LpSolves,
@@ -139,6 +143,7 @@ impl Counter {
         Counter::PresolveRedundantRows,
         Counter::MilpFallbacks,
         Counter::DfsNodes,
+        Counter::DfsBudgetExhausted,
         Counter::GreedyPasses,
         Counter::WindowsVisited,
         Counter::WindowsImproved,
@@ -174,6 +179,7 @@ impl Counter {
             Counter::PresolveRedundantRows => "presolve_redundant_rows",
             Counter::MilpFallbacks => "milp_fallbacks",
             Counter::DfsNodes => "dfs_nodes",
+            Counter::DfsBudgetExhausted => "dfs_budget_exhausted",
             Counter::GreedyPasses => "greedy_passes",
             Counter::WindowsVisited => "windows_visited",
             Counter::WindowsImproved => "windows_improved",
@@ -217,6 +223,9 @@ pub enum Stage {
     Flip,
     /// Global objective evaluations between iterations.
     ObjectiveEval,
+    /// Window-problem construction, one per batch (accumulated across
+    /// worker threads).
+    WindowBuild,
     /// Window-batch solves (accumulated across worker threads).
     WindowSolve,
     /// MILP model construction (accumulated across worker threads).
@@ -237,11 +246,12 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in discriminant order.
-    pub const ALL: [Stage; 11] = [
+    pub const ALL: [Stage; 12] = [
         Stage::Vm1Opt,
         Stage::Perturb,
         Stage::Flip,
         Stage::ObjectiveEval,
+        Stage::WindowBuild,
         Stage::WindowSolve,
         Stage::MilpBuild,
         Stage::MilpSolve,
@@ -259,6 +269,7 @@ impl Stage {
             Stage::Perturb => "perturb",
             Stage::Flip => "flip",
             Stage::ObjectiveEval => "objective_eval",
+            Stage::WindowBuild => "window_build",
             Stage::WindowSolve => "window_solve",
             Stage::MilpBuild => "milp_build",
             Stage::MilpSolve => "milp_solve",

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Workspace CI gate: formatting, lints, build, tests.
+# Workspace CI gate: formatting, lints, build, tests, benchmark smoke run.
 #
 # Everything here works fully offline — the workspace's only external
 # dev-dependencies (proptest, criterion) are local shim crates, so no
@@ -71,5 +71,20 @@ cargo run --release -q -p vm1-flow --bin vm1dp -- \
     gen --profile m0 --scale 0.002 --seed 7 -o "$smoke_dir/micro.def"
 cargo run --release -q -p vm1-flow --bin vm1dp -- \
     opt --audit --solver milp -i "$smoke_dir/micro.def" -o "$smoke_dir/micro_opt.def"
+
+echo "== perfbench: build and smoke-run the gate benchmark =="
+# perfbench/ is a package of its own (empty [workspace]) built against
+# the crates by path, so no stage above compiles it. A one-second run of
+# each workload checks that it still builds and that every job's
+# placement passes its checks; its last line is the JSON result.
+for w in large solver flow; do
+    last=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$w" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+    echo "$w: $last"
+    case "$last" in
+        *'"correct": true,'*'"failed": 0,'*) ;;
+        *) echo "perfbench $w: a job failed its checks" >&2; exit 1 ;;
+    esac
+done
 
 echo "CI OK"
