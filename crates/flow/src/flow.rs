@@ -6,7 +6,7 @@ use std::sync::Arc;
 use vm1_core::{calculate_obj, Vm1Config, Vm1Optimizer};
 use vm1_netlist::generator::{DesignProfile, GeneratorConfig};
 use vm1_netlist::Design;
-use vm1_obs::{MetricsHandle, Stage, Telemetry};
+use vm1_obs::{Counter, MetricsHandle, Stage, Telemetry};
 use vm1_place::{greedy_refine, place, PlaceConfig};
 use vm1_route::{route, RouteResult, RouterConfig};
 use vm1_tech::{CellArch, Library};
@@ -117,7 +117,8 @@ pub fn measure(tc: &Testcase, vm1_cfg: &Vm1Config) -> (Snapshot, RouteResult) {
 }
 
 /// [`measure`] with a metrics sink: the routing pass is charged to
-/// [`Stage::Route`] and the STA/power analysis to [`Stage::Analysis`].
+/// [`Stage::Route`] and its search effort to the `Route*` counters, and
+/// the STA/power analysis to [`Stage::Analysis`].
 ///
 /// # Panics
 ///
@@ -135,6 +136,9 @@ pub fn measure_with(
     // covers all experiment binaries when `--audit` is on.
     crate::audit_mode::audit_checkpoint(&tc.design, vm1_cfg, "measure");
     let r = metrics.timed(Stage::Route, || route(&tc.design, &tc.router));
+    metrics.add(Counter::RouteSearches, r.stats.searches);
+    metrics.add(Counter::RouteHeapPops, r.stats.heap_pops);
+    metrics.add(Counter::RouteBboxWidenings, r.stats.bbox_widenings);
     let (timing, p) = metrics.timed(Stage::Analysis, || {
         let timing = analyze(&tc.design, Some(&r), tc.clock_ps).expect("acyclic netlist");
         let p = power(&tc.design, Some(&r), tc.clock_ps);

@@ -50,4 +50,4 @@ pub mod steiner;
 
 pub use grid::{Edge, NodeId, PinAccess, RoutingGrid};
 pub use maze::{MazeCosts, SearchBox, SearchSpace};
-pub use router::{route, NetRoute, RouteMetrics, RouteResult, RouterConfig, Segment};
+pub use router::{route, NetRoute, RouteMetrics, RouteResult, RouteStats, RouterConfig, Segment};
