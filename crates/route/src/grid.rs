@@ -1,4 +1,3 @@
-use std::collections::BTreeSet;
 use vm1_geom::{Dbu, Interval};
 use vm1_netlist::{Design, NetPin};
 use vm1_tech::{Layer, LayerDir};
@@ -252,13 +251,6 @@ impl RoutingGrid {
             rem % self.width,
             rem / self.width,
         )
-    }
-
-    /// Whether the node is free to route through, treating nodes in
-    /// `allowed` (the current net's own pins) as passable.
-    #[must_use]
-    pub fn passable(&self, id: NodeId, allowed: &BTreeSet<NodeId>) -> bool {
-        !self.blocked[id as usize] || allowed.contains(&id)
     }
 
     /// Whether the node is blocked (ignoring any allowance).
