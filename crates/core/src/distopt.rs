@@ -154,11 +154,13 @@ pub(crate) fn dist_opt_impl(
             metrics,
         }
         .solve(scratch);
-        let span_moves = commit(design, outcomes, metrics);
-        if !span_moves.is_empty() {
-            let patched = rowmap.patch_moves(&span_moves);
-            metrics.add(Counter::RowMapRowsPatched, patched as u64);
-        }
+        metrics.timed(Stage::Commit, || {
+            let span_moves = commit(design, outcomes, metrics);
+            if !span_moves.is_empty() {
+                let patched = rowmap.patch_moves(&span_moves);
+                metrics.add(Counter::RowMapRowsPatched, patched as u64);
+            }
+        });
         debug_assert!(
             rowmap.consistent_with(design),
             "incremental occupancy diverged from the placement"

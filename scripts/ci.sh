@@ -23,6 +23,13 @@ cargo build --release
 echo "== cargo test =="
 cargo test -q
 
+echo "== router exactness tests in release =="
+# The test profile traps integer overflow, the release profile wraps. The
+# maze router packs its heap keys through a checked conversion and reruns
+# a search on wide keys when one does not fit; its unit and golden-route
+# tests must also pass in the build that ships.
+cargo test --release -q -p vm1-route
+
 echo "== audit: debug-assertion test pass (placement checkpoints active) =="
 # [profile.test] keeps debug assertions on, so the suite above already
 # exercises every debug_checkpoint; this re-runs just the audit-layer
