@@ -1,5 +1,4 @@
-//! Shared helpers for the benchmark harness: CLI parsing for the
-//! experiment binaries and common fixtures for the criterion benches.
+//! CLI parsing shared by the experiment binaries.
 //!
 //! The experiment binaries regenerate the paper's artifacts:
 //!
@@ -21,8 +20,6 @@
 
 use vm1_flow::experiments::ExperimentScale;
 use vm1_tech::CellArch;
-
-pub mod sched_bench;
 
 /// Parsed command-line options of the experiment binaries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

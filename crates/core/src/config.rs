@@ -75,7 +75,8 @@ pub struct Vm1Config {
     pub max_cells_per_milp: usize,
     /// Window solver engine.
     pub solver: SolverKind,
-    /// Node budget for the exact solvers (per window batch).
+    /// Node budget for the exact solvers (per window batch); the MILP
+    /// engine takes at most [`crate::solver::MILP_MAX_NODES`].
     pub max_nodes: usize,
     /// Safety cap on Algorithm 1 inner iterations per parameter set.
     pub max_inner_iters: usize,
@@ -89,10 +90,6 @@ pub struct Vm1Config {
     /// ii); the `net_criticality_weights` helper in `vm1-flow` produces
     /// these from STA slacks.
     pub net_weights: Option<Arc<Vec<f64>>>,
-    /// Smart target-window selection (paper contribution (ii) over the
-    /// distributable optimization of Han et al.): skip re-solving windows
-    /// whose observable state is unchanged since a no-gain solve.
-    pub smart_window_selection: bool,
     /// Proof-carrying solves: when the MILP engine is selected, record an
     /// optimality certificate for every window solve and verify it with
     /// the exact-arithmetic checker (`vm1-certify`) before committing the
@@ -121,7 +118,6 @@ impl Vm1Config {
             max_inner_iters: 8,
             threads: std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
             net_weights: None,
-            smart_window_selection: true,
             certify: false,
         }
     }

@@ -22,55 +22,9 @@ use crate::sched::Round;
 use crate::solver::solve_window_with;
 use crate::window::{Window, WindowGrid};
 use crate::Vm1Config;
-use std::collections::BTreeSet;
-use std::sync::{Mutex, MutexGuard, PoisonError};
 use vm1_netlist::{Design, InstId};
 use vm1_obs::{Counter, MetricsHandle, MetricsReport, SchedGauge, Stage};
 use vm1_place::{RowMap, SpanMove};
-
-/// Cache for the smart window selection: remembers problem-state digests
-/// whose (deterministic) solve produced no improvement, so re-solving an
-/// unchanged window is skipped. Sound because
-/// [`WindowProblem::state_digest`] covers everything a solver observes.
-/// The workers of a round share it by reference.
-#[derive(Debug, Default)]
-pub struct SolveCache {
-    no_gain: Mutex<BTreeSet<u64>>,
-}
-
-impl SolveCache {
-    /// Creates an empty cache.
-    #[must_use]
-    pub fn new() -> SolveCache {
-        SolveCache::default()
-    }
-
-    /// A poisoned lock only means another worker panicked mid-insert;
-    /// the set of no-gain digests is append-only and stays valid.
-    fn lock(&self) -> MutexGuard<'_, BTreeSet<u64>> {
-        self.no_gain.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn known_no_gain(&self, digest: u64) -> bool {
-        self.lock().contains(&digest)
-    }
-
-    fn record_no_gain(&self, digest: u64) {
-        self.lock().insert(digest);
-    }
-
-    /// Number of remembered no-gain states.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    /// Whether the cache is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
 
 /// Parameters of one `DistOpt` call (Algorithm 2's arguments).
 #[derive(Clone, Copy, Debug)]
@@ -102,8 +56,6 @@ pub struct DistOptStats {
     pub cells_changed: usize,
     /// Parallel rounds executed (= number of diagonal sets).
     pub rounds: usize,
-    /// Window batches skipped by the smart selection cache.
-    pub batches_skipped: usize,
 }
 
 impl DistOptStats {
@@ -113,7 +65,6 @@ impl DistOptStats {
             windows: r.counter(Counter::WindowsImproved) as usize,
             cells_changed: r.counter(Counter::CellsChanged) as usize,
             rounds: r.counter(Counter::DistOptRounds) as usize,
-            batches_skipped: r.counter(Counter::BatchCacheHits) as usize,
         }
     }
 }
@@ -126,7 +77,6 @@ pub(crate) fn dist_opt_impl(
     design: &mut Design,
     p: &DistOptParams,
     cfg: &Vm1Config,
-    cache: Option<&SolveCache>,
     metrics: &MetricsHandle,
     scratch: &mut [SolveScratch],
 ) {
@@ -150,7 +100,6 @@ pub(crate) fn dist_opt_impl(
             windows: &windows,
             p,
             cfg,
-            cache,
             metrics,
         }
         .solve(scratch);
@@ -186,7 +135,6 @@ fn commit(
         if outcome.visited {
             metrics.incr(Counter::WindowsVisited);
         }
-        metrics.add(Counter::BatchCacheHits, outcome.batches_skipped as u64);
         metrics.add(Counter::BatchesSolved, outcome.batches_solved as u64);
         if !outcome.moves.is_empty() {
             metrics.incr(Counter::WindowsImproved);
@@ -228,8 +176,6 @@ pub(crate) struct WindowOutcome {
     pub(crate) visited: bool,
     /// Batches handed to a window solver.
     pub(crate) batches_solved: usize,
-    /// Batches skipped by the smart-selection cache.
-    pub(crate) batches_skipped: usize,
 }
 
 /// Solves one window (with batching); returns the moves to commit plus
@@ -245,7 +191,6 @@ pub(crate) fn solve_one_window(
     win: Window,
     p: &DistOptParams,
     cfg: &Vm1Config,
-    cache: Option<&SolveCache>,
     metrics: &MetricsHandle,
     scratch: &mut SolveScratch,
 ) -> WindowOutcome {
@@ -258,7 +203,6 @@ pub(crate) fn solve_one_window(
         moves: Vec::new(),
         visited: !movable.is_empty(),
         batches_solved: 0,
-        batches_skipped: 0,
     };
     for batch in movable.chunks(cfg.max_cells_per_milp.max(1)) {
         let prob = metrics.timed(Stage::WindowBuild, || {
@@ -266,21 +210,11 @@ pub(crate) fn solve_one_window(
                 design, rowmap, pairs, win, batch, p.lx, p.ly, p.flip, cfg, &overrides, scratch,
             )
         });
-        let digest = prob.state_digest();
-        if let Some(c) = cache {
-            if c.known_no_gain(digest) {
-                outcome.batches_skipped += 1;
-                continue; // identical state solved before with no gain
-            }
-        }
         outcome.batches_solved += 1;
         let assign = metrics.timed(Stage::WindowSolve, || {
             solve_window_with(&prob, cfg, metrics)
         });
         if assign == prob.current_assign() {
-            if let Some(c) = cache {
-                c.record_no_gain(digest);
-            }
             continue;
         }
         for (cell, &k) in prob.cells.iter().zip(&assign) {
@@ -322,11 +256,9 @@ mod tests {
         (d, cfg)
     }
 
-    /// One uncached pass through the session API.
+    /// One pass through the session API.
     fn pass(d: &mut Design, p: &DistOptParams, cfg: &Vm1Config) -> DistOptStats {
-        Vm1Optimizer::new(cfg.clone())
-            .without_cache()
-            .run_pass(d, p)
+        Vm1Optimizer::new(cfg.clone()).run_pass(d, p)
     }
 
     fn params(d: &Design) -> DistOptParams {
@@ -385,14 +317,13 @@ mod tests {
         d.validate_placement().unwrap();
     }
 
-    /// Placement and every counter after one uncached pass on the
+    /// Placement and every counter after one pass on the
     /// 200-instance seed-`seed` design at `threads` threads.
     fn pass_snapshot(seed: u64, threads: usize) -> (Vec<(i64, i64, bool)>, Vec<u64>) {
         let (mut d, cfg) = setup(CellArch::ClosedM1, 200, seed);
         let p = params(&d);
         let t = Arc::new(Telemetry::new());
         let _ = Vm1Optimizer::new(cfg.with_threads(threads))
-            .without_cache()
             .with_metrics(t.clone())
             .run_pass(&mut d, &p);
         let placement = d
@@ -430,8 +361,8 @@ mod tests {
     fn round_outcomes_independent_of_solve_order() {
         // Workers claim windows in whatever order the schedule gives
         // them. Solving one round's windows forward, reversed and
-        // shuffled (each with a fresh cache) must give the same
-        // outcomes, and committing them the same placement and counters.
+        // shuffled must give the same outcomes, and committing them the
+        // same placement and counters.
         let (base, cfg) = setup(CellArch::ClosedM1, 250, 8);
         let p = params(&base);
         let rm = RowMap::build(&base);
@@ -450,7 +381,6 @@ mod tests {
         SplitMix64::new(3).shuffle(&mut shuffled);
         let mut reference = None;
         for order in [forward, reversed, shuffled] {
-            let cache = SolveCache::new();
             let t = Arc::new(Telemetry::new());
             let metrics = MetricsHandle::of(t.clone());
             let mut scratch = SolveScratch::new();
@@ -464,7 +394,6 @@ mod tests {
                     win,
                     &p,
                     &cfg,
-                    Some(&cache),
                     &metrics,
                     &mut scratch,
                 ));
@@ -506,8 +435,7 @@ mod tests {
         let mut scratch = SolveScratch::new();
         let mut moves_seen = 0usize;
         for &win in &grid.windows {
-            let out =
-                solve_one_window(&d, &rm, &pairs, win, &p, &cfg, None, &metrics, &mut scratch);
+            let out = solve_one_window(&d, &rm, &pairs, win, &p, &cfg, &metrics, &mut scratch);
             for (inst, cand) in &out.moves {
                 let i = d.inst(*inst);
                 assert_ne!(

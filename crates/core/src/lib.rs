@@ -29,8 +29,8 @@
 //!   solved in parallel;
 //! * [`session`] — Algorithm 1 (VM1Opt) behind the [`Vm1Optimizer`]
 //!   session API: the metaheuristic outer loop over a queue of parameter
-//!   sets with the perturb-then-flip schedule, owning the solve cache and
-//!   the metrics sinks (`vm1-obs`).
+//!   sets with the perturb-then-flip schedule, owning the per-worker
+//!   solve buffers and the metrics sinks (`vm1-obs`).
 //!
 //! # Examples
 //!
@@ -68,7 +68,7 @@ pub mod window;
 
 pub use audit::{audit_design, audit_design_with, recount_alignments, DesignAuditReport};
 pub use config::{ParamSet, SolverKind, Vm1Config};
-pub use distopt::{DistOptParams, DistOptStats, SolveCache};
+pub use distopt::{DistOptParams, DistOptStats};
 pub use objective::{calculate_obj, count_alignments, overlap_stats, Objective};
 pub use pairs::{alignable_pairs, pair_aligned, PairIndex, PinPairs};
 pub use session::{OptStats, Vm1Optimizer};

@@ -517,8 +517,7 @@ impl WindowProblem {
     /// A digest of everything the solvers can observe: cells with their
     /// candidates and current positions, net fixed boxes, pair geometry
     /// and weights. Two problems with equal digests produce identical
-    /// solver results, which is what makes the smart window-selection
-    /// cache of `DistOpt` sound.
+    /// solver results, so a digest identifies a batch in golden tests.
     #[must_use]
     pub fn state_digest(&self) -> u64 {
         let mut h: u64 = 0x9E37_79B9_7F4A_7C15;

@@ -12,15 +12,13 @@
 //!
 //! Which worker solves which window never reaches the results. A window
 //! outcome depends only on the round's immutable inputs (windows of one
-//! diagonal set are disjoint, and the no-gain cache can never be hit by
-//! a digest inserted in the same round because digests include the
-//! window position), and the outcomes go back to the single committing
-//! thread in window-index order. Placements and every
+//! diagonal set are disjoint), and the outcomes go back to the single
+//! committing thread in window-index order. Placements and every
 //! [`vm1_obs::Counter`] are therefore bit-identical for any thread
 //! count; only the [`SchedGauge`] channel (busy times) is
 //! scheduling-dependent.
 
-use crate::distopt::{solve_one_window, DistOptParams, SolveCache, WindowOutcome};
+use crate::distopt::{solve_one_window, DistOptParams, WindowOutcome};
 use crate::pairs::PairIndex;
 use crate::problem::SolveScratch;
 use crate::window::Window;
@@ -47,8 +45,6 @@ pub(crate) struct Round<'a> {
     pub p: &'a DistOptParams,
     /// Solver configuration.
     pub cfg: &'a Vm1Config,
-    /// Smart window-selection cache, if enabled.
-    pub cache: Option<&'a SolveCache>,
     /// Metrics fan-out of the pass.
     pub metrics: &'a MetricsHandle,
 }
@@ -104,7 +100,6 @@ impl Round<'_> {
                 win,
                 self.p,
                 self.cfg,
-                self.cache,
                 self.metrics,
                 scratch,
             );
@@ -198,7 +193,6 @@ mod tests {
             windows: &windows,
             p: &p,
             cfg: &cfg,
-            cache: None,
             metrics: &MetricsHandle::of(log.clone()),
         };
         let mut scratch: Vec<SolveScratch> = (0..threads).map(|_| SolveScratch::new()).collect();

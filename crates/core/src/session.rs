@@ -1,6 +1,6 @@
 //! The [`Vm1Optimizer`] session — Algorithm 1 (`VM1Opt`) behind a
-//! builder-style API that owns the solve cache, the configuration, and
-//! the metrics sinks.
+//! builder-style API that owns the configuration, the per-worker solve
+//! buffers, and the metrics sinks.
 //!
 //! For each parameter set `u` in the queue `U`, the loop alternates a
 //! *perturbation* `DistOpt` (positions within `±lx/±ly`, no flips) with a
@@ -17,7 +17,7 @@
 //! counters, so the session and the report can never disagree.
 
 use crate::audit::debug_checkpoint;
-use crate::distopt::{dist_opt_impl, DistOptParams, DistOptStats, SolveCache};
+use crate::distopt::{dist_opt_impl, DistOptParams, DistOptStats};
 use crate::objective::{calculate_obj, Objective};
 use crate::problem::SolveScratch;
 use crate::Vm1Config;
@@ -50,8 +50,6 @@ pub struct OptStats {
     pub iterations: usize,
     /// Total cells moved or flipped.
     pub cells_changed: usize,
-    /// Window batches skipped by the smart selection cache.
-    pub batches_skipped: usize,
     /// Wall-clock runtime in milliseconds.
     pub runtime_ms: u64,
 }
@@ -69,14 +67,13 @@ impl OptStats {
             final_alignments: fin.alignments,
             iterations: r.counter(Counter::Iterations) as usize,
             cells_changed: r.counter(Counter::CellsChanged) as usize,
-            batches_skipped: r.counter(Counter::BatchCacheHits) as usize,
             runtime_ms: (r.stage_nanos(Stage::Vm1Opt) / 1_000_000),
         }
     }
 }
 
-/// A reusable optimization session: configuration + smart-selection cache
-/// + metrics sinks.
+/// A reusable optimization session: configuration + per-worker solve
+/// buffers + metrics sinks.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -93,7 +90,7 @@ impl OptStats {
 /// place(&mut d, &PlaceConfig::default(), 1);
 /// let cfg = Vm1Config::closedm1().with_sequence(vec![ParamSet::new(4.0, 3, 1)]);
 /// let sink = Arc::new(Telemetry::new());
-/// let mut opt = Vm1Optimizer::new(cfg).with_cache().with_metrics(sink.clone());
+/// let mut opt = Vm1Optimizer::new(cfg).with_metrics(sink.clone());
 /// let stats = opt.run(&mut d);
 /// assert!(stats.final_obj <= stats.initial_obj + 1e-6);
 /// assert_eq!(
@@ -104,7 +101,6 @@ impl OptStats {
 #[derive(Debug)]
 pub struct Vm1Optimizer {
     cfg: Vm1Config,
-    cache: Option<SolveCache>,
     user_metrics: MetricsHandle,
     last_report: Option<MetricsReport>,
     /// One reusable solve buffer per window worker (`cfg.threads`).
@@ -112,40 +108,18 @@ pub struct Vm1Optimizer {
 }
 
 impl Vm1Optimizer {
-    /// Creates a session. The smart-selection cache follows
-    /// `cfg.smart_window_selection` (override with [`Self::with_cache`] /
-    /// [`Self::without_cache`]).
+    /// Creates a session.
     #[must_use]
     pub fn new(cfg: Vm1Config) -> Vm1Optimizer {
-        let cache = cfg.smart_window_selection.then(SolveCache::new);
         let scratch = (0..cfg.threads.max(1))
             .map(|_| SolveScratch::new())
             .collect();
         Vm1Optimizer {
             cfg,
-            cache,
             user_metrics: MetricsHandle::disabled(),
             last_report: None,
             scratch,
         }
-    }
-
-    /// Enables the smart window-selection cache (paper improvement (ii)).
-    /// The cache is owned by the session, so it persists across
-    /// [`Self::run`] calls.
-    #[must_use]
-    pub fn with_cache(mut self) -> Vm1Optimizer {
-        if self.cache.is_none() {
-            self.cache = Some(SolveCache::new());
-        }
-        self
-    }
-
-    /// Disables the smart window-selection cache.
-    #[must_use]
-    pub fn without_cache(mut self) -> Vm1Optimizer {
-        self.cache = None;
-        self
     }
 
     /// Attaches a metrics sink; may be called repeatedly to fan out.
@@ -159,12 +133,6 @@ impl Vm1Optimizer {
     #[must_use]
     pub fn config(&self) -> &Vm1Config {
         &self.cfg
-    }
-
-    /// The session's solve cache, if enabled.
-    #[must_use]
-    pub fn cache(&self) -> Option<&SolveCache> {
-        self.cache.as_ref()
     }
 
     /// Telemetry report of the most recent [`Self::run`] /
@@ -184,7 +152,6 @@ impl Vm1Optimizer {
         let telemetry = Arc::new(Telemetry::new());
         let metrics = self.user_metrics.and(telemetry.clone());
         let cfg = &self.cfg;
-        let cache = self.cache.as_ref();
         let scratch = &mut self.scratch;
         let tech = design.library().tech();
         let site = tech.site_width.nm() as f64;
@@ -224,7 +191,7 @@ impl Vm1Optimizer {
                     flip: false,
                 };
                 metrics.timed(Stage::Perturb, || {
-                    dist_opt_impl(design, &perturb, cfg, cache, &metrics, scratch);
+                    dist_opt_impl(design, &perturb, cfg, &metrics, scratch);
                 });
                 if let Some(snap) = &snap {
                     debug_checkpoint(
@@ -250,7 +217,7 @@ impl Vm1Optimizer {
                     flip: true,
                 };
                 metrics.timed(Stage::Flip, || {
-                    dist_opt_impl(design, &flip, cfg, cache, &metrics, scratch);
+                    dist_opt_impl(design, &flip, cfg, &metrics, scratch);
                 });
                 if let Some(snap) = &snap {
                     debug_checkpoint(
@@ -300,19 +267,12 @@ impl Vm1Optimizer {
     }
 
     /// Runs a single `DistOpt` pass (Algorithm 2) through the session —
-    /// the session's cache and sinks apply, and [`Self::last_report`] is
+    /// the session's sinks apply, and [`Self::last_report`] is
     /// replaced with this pass's telemetry.
     pub fn run_pass(&mut self, design: &mut Design, p: &DistOptParams) -> DistOptStats {
         let telemetry = Arc::new(Telemetry::new());
         let metrics = self.user_metrics.and(telemetry.clone());
-        dist_opt_impl(
-            design,
-            p,
-            &self.cfg,
-            self.cache.as_ref(),
-            &metrics,
-            &mut self.scratch,
-        );
+        dist_opt_impl(design, p, &self.cfg, &metrics, &mut self.scratch);
         let report = telemetry.report();
         let stats = DistOptStats::from_report(&report);
         self.last_report = Some(report);
@@ -423,98 +383,6 @@ mod cache_tests {
     }
 
     #[test]
-    fn smart_selection_preserves_results_exactly() {
-        // The cache only skips deterministic re-solves of identical
-        // states, so the final placement must be bit-identical.
-        let mut with = setup(11);
-        let mut without = with.clone();
-        let seq = vec![ParamSet::new(3.0, 3, 1)];
-        let mut cfg = crate::Vm1Config::closedm1().with_sequence(seq);
-        // Force a fixed number of iterations so both runs share the exact
-        // schedule and windows repeat (making the cache observable).
-        cfg.theta = -1.0;
-        cfg.max_inner_iters = 5;
-        let s_on = Vm1Optimizer::new(cfg.clone()).with_cache().run(&mut with);
-        let s_off = Vm1Optimizer::new(cfg).without_cache().run(&mut without);
-        for ((_, a), (_, b)) in with.insts().zip(without.insts()) {
-            assert_eq!((a.site, a.row, a.orient), (b.site, b.row, b.orient));
-        }
-        assert_eq!(s_on.final_obj, s_off.final_obj);
-        assert_eq!(s_off.batches_skipped, 0, "cache off skips nothing");
-    }
-
-    #[test]
-    fn cache_fires_once_windows_stabilize() {
-        let mut d = setup(11);
-        let cfg = crate::Vm1Config::closedm1().with_sequence(vec![ParamSet::new(3.0, 3, 1)]);
-        let mut opt = Vm1Optimizer::new(cfg).with_cache();
-        let p = DistOptParams {
-            tx: 0,
-            ty: 0,
-            bw_sites: 62,
-            bh_rows: 8,
-            lx: 3,
-            ly: 1,
-            flip: false,
-        };
-        let mut total_skipped = 0;
-        for _ in 0..5 {
-            total_skipped += opt.run_pass(&mut d, &p).batches_skipped;
-        }
-        assert!(
-            !opt.cache().expect("cache enabled").is_empty(),
-            "no-gain states get recorded"
-        );
-        assert!(
-            total_skipped > 0,
-            "re-solving an identical window grid must hit the cache"
-        );
-        d.validate_placement().unwrap();
-    }
-
-    #[test]
-    fn cache_hit_counter_equals_batches_skipped() {
-        let mut d = setup(11);
-        let cfg = crate::Vm1Config::closedm1().with_sequence(vec![ParamSet::new(3.0, 3, 1)]);
-        let sink = Arc::new(Telemetry::new());
-        let mut opt = Vm1Optimizer::new(cfg)
-            .with_cache()
-            .with_metrics(sink.clone());
-        let p = DistOptParams {
-            tx: 0,
-            ty: 0,
-            bw_sites: 62,
-            bh_rows: 8,
-            lx: 3,
-            ly: 1,
-            flip: false,
-        };
-        let mut total_skipped = 0;
-        let mut total_changed = 0;
-        for _ in 0..5 {
-            let stats = opt.run_pass(&mut d, &p);
-            total_skipped += stats.batches_skipped;
-            total_changed += stats.cells_changed;
-        }
-        let r = sink.report();
-        assert!(
-            r.counter(Counter::BatchCacheHits) > 0,
-            "re-solving an identical window grid must hit the cache"
-        );
-        // The user sink accumulates across passes, and the stats views are
-        // built from the very same counters — they cannot disagree.
-        assert_eq!(r.counter(Counter::BatchCacheHits) as usize, total_skipped);
-        assert_eq!(r.counter(Counter::CellsChanged) as usize, total_changed);
-        // Regression: batch-cache skips used to be recorded under the
-        // generic `cache_hits`, polluting unrelated cache accounting.
-        assert_eq!(
-            r.counter(Counter::CacheHits),
-            0,
-            "window-batch skips must not leak into the generic cache counter"
-        );
-    }
-
-    #[test]
     fn instrumented_run_is_bit_identical_to_uninstrumented() {
         // Attaching sinks must observe, never perturb: the placement and
         // every counter must match a run with no user sink attached.
@@ -524,7 +392,7 @@ mod cache_tests {
         let mut plain = Vm1Optimizer::new(cfg.clone());
         let s_plain = plain.run(&mut d_plain);
         let sink = Arc::new(Telemetry::new());
-        let s_inst = Vm1Optimizer::new(cfg)
+        let s_inst = Vm1Optimizer::new(cfg.clone())
             .with_metrics(sink.clone())
             .run(&mut d_inst);
         for ((_, a), (_, b)) in d_plain.insts().zip(d_inst.insts()) {
@@ -542,27 +410,27 @@ mod cache_tests {
             );
         }
         assert_eq!(r_plain.trajectory().len(), r_inst.trajectory().len());
-    }
 
-    #[test]
-    fn session_cache_persists_across_runs() {
-        let mut d = setup(12);
-        let mut cfg = crate::Vm1Config::closedm1().with_sequence(vec![ParamSet::new(3.0, 3, 1)]);
-        cfg.theta = -1.0;
-        cfg.max_inner_iters = 2;
-        let mut opt = Vm1Optimizer::new(cfg).with_cache();
-        let s1 = opt.run(&mut d);
-        let cached_after_first = opt.cache().unwrap().len();
-        assert!(cached_after_first > 0, "first run records no-gain states");
-        let s2 = opt.run(&mut d);
-        // The design converged in run 1, so run 2 re-solves mostly
-        // identical windows: the persistent cache must skip batches.
-        assert!(
-            s2.batches_skipped >= s1.batches_skipped,
-            "persistent cache: {} then {}",
-            s1.batches_skipped,
-            s2.batches_skipped
+        // The user sink accumulates across passes, and each pass's stats
+        // view is built from the very same counters: they cannot disagree.
+        let sink = Arc::new(Telemetry::new());
+        let mut opt = Vm1Optimizer::new(cfg).with_metrics(sink.clone());
+        let p = DistOptParams {
+            tx: 0,
+            ty: 0,
+            bw_sites: 62,
+            bh_rows: 8,
+            lx: 3,
+            ly: 1,
+            flip: false,
+        };
+        let total_changed: usize = (0..3)
+            .map(|_| opt.run_pass(&mut d_plain, &p).cells_changed)
+            .sum();
+        assert!(total_changed > 0, "passes must change some cells");
+        assert_eq!(
+            sink.report().counter(Counter::CellsChanged) as usize,
+            total_changed
         );
-        d.validate_placement().unwrap();
     }
 }

@@ -5,7 +5,8 @@
 //! solvers find the same optimum (cross-checked in tests) unless their
 //! node budget `max_nodes` cuts the search short; a cut DFS solve returns
 //! its best assignment so far and counts under
-//! [`Counter::DfsBudgetExhausted`]. The DFS solver exploits the fact that
+//! [`Counter::DfsBudgetExhausted`], a cut MILP solve its incumbent under
+//! [`Counter::MilpLimitHit`]. The DFS solver exploits the fact that
 //! every auxiliary MILP variable (net bounds, `d_pq`, `o_pq`) is uniquely
 //! determined by the λ assignment, so the search space is just one
 //! candidate choice per cell with admissible bounds.
@@ -67,6 +68,13 @@ pub fn solve_window_with(
 // MILP
 // ---------------------------------------------------------------------------
 
+/// Most branch-and-bound nodes of one window MILP solve. A node solves a
+/// dense LP, thousands of times the work of a DFS node, so the MILP takes
+/// the smaller of this and `Vm1Config::max_nodes`. On a 2-core x86-64
+/// host 10k nodes of an 8-cell window take 20-40 s; with the default
+/// `max_nodes` (300k) one such window ran for more than 3 minutes.
+pub const MILP_MAX_NODES: usize = 10_000;
+
 /// Solves the window through the faithful MILP formulation.
 #[must_use]
 pub fn milp_window_solve(prob: &WindowProblem, cfg: &Vm1Config) -> Vec<usize> {
@@ -97,8 +105,7 @@ pub fn milp_window_solve_with(
     }
     let cur = prob.current_assign();
     let params = SolveParams {
-        max_nodes: cfg.max_nodes,
-        time_limit_ms: 30_000,
+        max_nodes: cfg.max_nodes.min(MILP_MAX_NODES),
         abs_gap: 1e-6,
         warm_start: Some(warm_start(prob, &model, &vars, &cur)),
         metrics: metrics.clone(),

@@ -29,7 +29,13 @@
 //! | 5    | MILP model lint error                     |
 //! | 6    | solve certificate rejected by the checker |
 //!
-//! When several classes fail, the smallest failing code wins.
+//! When several classes fail, the smallest failing code wins. `opt` and
+//! `certify` check the input placement before optimizing and exit 3 if
+//! it is illegal (a cell off the core or two cells overlapping).
+//!
+//! Standard output may be closed early (`vm1dp opt … | head -3`): the
+//! command then stops printing but still writes its `-o` and
+//! `--metrics-out` files and exits with its usual code.
 //!
 //! `certify` runs the optimization with the MILP engine in
 //! proof-carrying mode: every window solve records a branch-and-bound
@@ -37,7 +43,10 @@
 //! (`vm1-certify`) replays before the assignment is committed. `opt
 //! --audit --solver milp` certifies the same way as part of the audit.
 
+use std::fmt;
+use std::io::{self, Write};
 use std::process::exit;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use vm1_core::problem::{Overrides, WindowProblem};
 use vm1_core::window::WindowGrid;
@@ -50,6 +59,42 @@ use vm1_place::{greedy_refine, place, PlaceConfig, RowMap};
 use vm1_route::{route, RouterConfig};
 use vm1_tech::{CellArch, Library};
 use vm1_timing::{analyze, min_clock_period, power};
+
+/// Set once standard output reports a broken pipe; later output is
+/// dropped. Relaxed suffices: the flag publishes no other data.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Writes to standard output without panicking: after a broken pipe
+/// the rest of the output is dropped, and any other write error exits 1.
+fn write_stdout(args: fmt::Arguments<'_>) {
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    match io::stdout().lock().write_fmt(args) {
+        Ok(()) => {}
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => {
+            STDOUT_CLOSED.store(true, Ordering::Relaxed);
+        }
+        Err(e) => {
+            eprintln!("error: cannot write to standard output: {e}");
+            exit(1);
+        }
+    }
+}
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -183,7 +228,8 @@ fn usage(err: &str) -> ! {
          certify optimizes with the MILP engine in proof-carrying mode: every\n\
          window solve is replayed by the exact-arithmetic certificate checker.\n\
          \n\
-         audit/certify exit codes (smallest failing class wins):\n\
+         audit/certify exit codes (smallest failing class wins; opt and\n\
+         certify also exit 3 on an illegal input placement):\n\
          \x20  0 clean   1 I/O error   2 usage   3 placement violation\n\
          \x20  4 dM1 recount mismatch   5 MILP model lint error\n\
          \x20  6 solve certificate rejected"
@@ -210,6 +256,22 @@ fn load(opts: &Opts) -> Design {
     })
 }
 
+/// [`load`], then exits 3 unless the placement is legal: the optimizer
+/// assumes every cell in the core and no two cells overlapping.
+fn load_placed(opts: &Opts) -> Design {
+    let design = load(opts);
+    let report = vm1_place::verify_placement(&design);
+    if !report.is_clean() {
+        eprint!(
+            "error: illegal input placement ({} violations):\n{}",
+            report.violations().len(),
+            report.summary()
+        );
+        exit(3);
+    }
+    design
+}
+
 fn save(design: &Design, opts: &Opts) {
     let path = opts
         .output
@@ -219,7 +281,7 @@ fn save(design: &Design, opts: &Opts) {
         eprintln!("error: cannot write {path}: {e}");
         exit(1);
     });
-    println!("wrote {path}");
+    outln!("wrote {path}");
 }
 
 /// Applies the `--threads` option to a config.
@@ -248,12 +310,12 @@ fn audit_config(opts: &Opts) -> Vm1Config {
 fn run_audit(design: &Design, opts: &Opts, metrics: &MetricsHandle) -> i32 {
     let cfg = audit_config(opts);
     let report = vm1_core::audit_design_with(design, &cfg, metrics);
-    println!(
+    outln!(
         "audit placement : {} checks, {} violations",
         report.placement.checks(),
         report.placement.violations().len()
     );
-    println!(
+    outln!(
         "audit dM1       : recount {} vs objective {} ({})",
         report.recounted_dm1,
         report.reported_dm1,
@@ -264,7 +326,7 @@ fn run_audit(design: &Design, opts: &Opts, metrics: &MetricsHandle) -> i32 {
         }
     );
     if !report.is_clean() {
-        print!("{}", report.summary());
+        out!("{}", report.summary());
     }
 
     // Model lint over a sample of window MILPs: the first parameter
@@ -305,12 +367,12 @@ fn run_audit(design: &Design, opts: &Opts, metrics: &MetricsHandle) -> i32 {
                 .iter()
                 .filter(|f| f.kind.severity() == vm1_milp::AuditSeverity::Error)
             {
-                println!("{f}");
+                outln!("{f}");
             }
             sampled += 1;
         }
     }
-    println!(
+    outln!(
         "audit model lint: {sampled} window models sampled, {lint_errors} errors, {lint_warnings} warnings"
     );
 
@@ -321,7 +383,7 @@ fn run_audit(design: &Design, opts: &Opts, metrics: &MetricsHandle) -> i32 {
     } else if lint_errors > 0 {
         5
     } else {
-        println!("audit clean");
+        outln!("audit clean");
         0
     }
 }
@@ -337,7 +399,7 @@ fn write_metrics_out(report: &vm1_obs::MetricsReport, opts: &Opts) {
             eprintln!("error: cannot write {path}: {e}");
             exit(1);
         });
-        println!("wrote {path}");
+        outln!("wrote {path}");
     }
 }
 
@@ -352,7 +414,7 @@ fn cmd_gen(opts: &Opts) {
         eprintln!("error: the placer left an illegal placement: {e}");
         exit(1);
     }
-    println!(
+    outln!(
         "generated {}: {} instances, {} nets, {} rows x {} sites",
         design.name(),
         design.num_insts(),
@@ -386,7 +448,7 @@ fn cert_code(report: &vm1_obs::MetricsReport) -> i32 {
     let verified = report.counter(Counter::CertVerified);
     let rejected = report.counter(Counter::CertRejected);
     if recorded > 0 {
-        println!(
+        outln!(
             "certify: {recorded} certificates recorded, {verified} verified, {rejected} REJECTED"
         );
     }
@@ -398,7 +460,7 @@ fn cert_code(report: &vm1_obs::MetricsReport) -> i32 {
 }
 
 fn cmd_opt(opts: &Opts) {
-    let mut design = load(opts);
+    let mut design = load_placed(opts);
     let mut cfg = match opts.arch {
         CellArch::OpenM1 => Vm1Config::openm1(),
         _ => Vm1Config::closedm1(),
@@ -417,7 +479,7 @@ fn cmd_opt(opts: &Opts) {
     let stats = Vm1Optimizer::new(cfg)
         .with_metrics(sink.clone())
         .run(&mut design);
-    println!(
+    outln!(
         "objective {:.0} -> {:.0}; alignments {} -> {}; HPWL {} -> {} nm; {} cells changed in {} ms",
         stats.initial_obj,
         stats.final_obj,
@@ -435,7 +497,7 @@ fn cmd_opt(opts: &Opts) {
     };
     let report = sink.report();
     let cert = cert_code(&report);
-    print!("{}", vm1_flow::format_metrics_summary(&report));
+    out!("{}", vm1_flow::format_metrics_summary(&report));
     write_metrics_out(&report, opts);
     save(&design, opts);
     if audit_code != 0 {
@@ -456,7 +518,7 @@ fn cmd_certify(opts: &Opts) {
     if matches!(opts.solver, Some(k) if k != SolverKind::Milp) {
         usage("certify requires the milp solver");
     }
-    let mut design = load(opts);
+    let mut design = load_placed(opts);
     let mut cfg = match opts.arch {
         CellArch::OpenM1 => Vm1Config::openm1(),
         _ => Vm1Config::closedm1(),
@@ -471,7 +533,7 @@ fn cmd_certify(opts: &Opts) {
     let stats = Vm1Optimizer::new(cfg)
         .with_metrics(sink.clone())
         .run(&mut design);
-    println!(
+    outln!(
         "objective {:.0} -> {:.0}; alignments {} -> {}; {} cells changed in {} ms",
         stats.initial_obj,
         stats.final_obj,
@@ -483,7 +545,7 @@ fn cmd_certify(opts: &Opts) {
     let report = sink.report();
     let cert = cert_code(&report);
     if report.counter(Counter::CertRecorded) == 0 {
-        println!("certify: no MILP solves were required (nothing to certify)");
+        outln!("certify: no MILP solves were required (nothing to certify)");
     }
     write_metrics_out(&report, opts);
     if opts.output.is_some() {
@@ -492,7 +554,7 @@ fn cmd_certify(opts: &Opts) {
     if cert != 0 {
         exit(cert);
     }
-    println!("certify clean");
+    outln!("certify clean");
 }
 
 fn cmd_report(opts: &Opts) {
@@ -505,19 +567,19 @@ fn cmd_report(opts: &Opts) {
     let clock = min_clock_period(&design, Some(&r)).unwrap_or_else(|e| timing_error(e)) * 1.02;
     let t = analyze(&design, Some(&r), clock).unwrap_or_else(|e| timing_error(e));
     let p = power(&design, Some(&r), clock);
-    println!(
+    outln!(
         "design    : {} ({} insts, {} nets)",
         design.name(),
         design.num_insts(),
         design.num_nets()
     );
-    println!("HPWL      : {:.1} um", design.total_hpwl().to_um());
-    println!("routed WL : {:.1} um", r.metrics.routed_wl.to_um());
-    println!("M1 WL     : {:.1} um", r.metrics.m1_wl().to_um());
-    println!("#dM1      : {}", r.metrics.num_dm1);
-    println!("#via12    : {}", r.metrics.via12());
-    println!("#DRV      : {}", r.metrics.drvs);
-    println!("clock     : {clock:.1} ps (calibrated)");
-    println!("WNS       : {:.3} ns", t.wns_ns_paper());
-    println!("power     : {:.3} mW", p.total_mw());
+    outln!("HPWL      : {:.1} um", design.total_hpwl().to_um());
+    outln!("routed WL : {:.1} um", r.metrics.routed_wl.to_um());
+    outln!("M1 WL     : {:.1} um", r.metrics.m1_wl().to_um());
+    outln!("#dM1      : {}", r.metrics.num_dm1);
+    outln!("#via12    : {}", r.metrics.via12());
+    outln!("#DRV      : {}", r.metrics.drvs);
+    outln!("clock     : {clock:.1} ps (calibrated)");
+    outln!("WNS       : {:.3} ns", t.wns_ns_paper());
+    outln!("power     : {:.3} mW", p.total_mw());
 }

@@ -267,7 +267,7 @@ mod tests {
         });
         let text = format_metrics_summary(&t.report());
         assert!(text.contains("bb_nodes"));
-        assert!(!text.contains("cache_hits"), "zero counters are elided");
+        assert!(!text.contains("cells_changed"), "zero counters are elided");
         assert!(text.contains("route"));
         assert!(!text.contains("milp_solve"), "untimed stages are elided");
         assert!(text.contains("trajectory"));

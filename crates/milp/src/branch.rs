@@ -19,7 +19,6 @@ use crate::lp::{solve_lp, LpStatus};
 use crate::model::{Model, VarId, VarKind};
 use crate::presolve::presolve;
 use crate::tol::{DEFAULT_ABS_GAP, FEASIBILITY_TOL, INT_TOL};
-use vm1_obs::timer::Stopwatch;
 use vm1_obs::{Counter, MetricsHandle};
 
 /// Outcome class of a MILP solve.
@@ -27,14 +26,14 @@ use vm1_obs::{Counter, MetricsHandle};
 pub enum Status {
     /// Proven optimal solution found.
     Optimal,
-    /// A feasible solution was found but optimality was not proven before a
-    /// node/time limit.
+    /// A feasible solution was found but optimality was not proven before
+    /// the node limit.
     Feasible,
     /// The model has no feasible solution.
     Infeasible,
     /// The relaxation is unbounded.
     Unbounded,
-    /// No feasible solution found before a node/time limit.
+    /// No feasible solution found before the node limit.
     Unknown,
 }
 
@@ -83,10 +82,10 @@ impl MilpSolution {
 /// Tunable limits for [`solve`].
 #[derive(Clone, Debug)]
 pub struct SolveParams {
-    /// Maximum branch-and-bound nodes before giving up with the incumbent.
+    /// Maximum branch-and-bound nodes before giving up with the
+    /// incumbent. The only limit: a solve's result never depends on the
+    /// clock.
     pub max_nodes: usize,
-    /// Wall-clock limit in milliseconds.
-    pub time_limit_ms: u64,
     /// Accept incumbents within this absolute gap of the best bound.
     pub abs_gap: f64,
     /// Optional warm-start assignment (full variable vector). If feasible it
@@ -102,7 +101,6 @@ impl Default for SolveParams {
     fn default() -> SolveParams {
         SolveParams {
             max_nodes: 100_000,
-            time_limit_ms: 60_000,
             abs_gap: DEFAULT_ABS_GAP,
             warm_start: None,
             metrics: MetricsHandle::disabled(),
@@ -240,8 +238,6 @@ impl<'a> Solver<'a> {
     }
 
     fn run_inner(&mut self) -> MilpSolution {
-        let start = Stopwatch::start();
-
         if let Some(ws) = self.params.warm_start.take() {
             if self.model.is_feasible(&ws, FEASIBILITY_TOL) {
                 self.incumbent_obj = self.model.objective_value(&ws);
@@ -262,7 +258,7 @@ impl<'a> Solver<'a> {
                 let id = rec.push(None, None);
                 rec.set_outcome(id, NodeOutcome::Infeasible { farkas: Vec::new() });
             }
-            self.emit_metrics(pre_tightenings, pre_redundant);
+            self.emit_metrics(pre_tightenings, pre_redundant, false);
             return MilpSolution {
                 // A feasible warm start contradicts presolve-infeasible;
                 // presolve only proves infeasibility from valid bound
@@ -303,9 +299,7 @@ impl<'a> Solver<'a> {
         let mut root_status: Option<Status> = None;
 
         while let Some(node) = stack.pop() {
-            if self.nodes >= self.params.max_nodes
-                || start.elapsed_ms() >= self.params.time_limit_ms
-            {
+            if self.nodes >= self.params.max_nodes {
                 saw_limit = true;
                 break;
             }
@@ -399,7 +393,7 @@ impl<'a> Solver<'a> {
             Status::Infeasible
         };
 
-        self.emit_metrics(pre_tightenings, pre_redundant);
+        self.emit_metrics(pre_tightenings, pre_redundant, saw_limit);
         MilpSolution {
             status,
             objective: self.incumbent_obj,
@@ -425,7 +419,7 @@ impl<'a> Solver<'a> {
     }
 
     /// Reports the accumulated counters to the caller's metrics sinks.
-    fn emit_metrics(&self, tightenings: usize, redundant: usize) {
+    fn emit_metrics(&self, tightenings: usize, redundant: usize, limit_hit: bool) {
         let metrics = &self.params.metrics;
         if !metrics.is_enabled() {
             return;
@@ -436,6 +430,7 @@ impl<'a> Solver<'a> {
         metrics.add(Counter::SimplexPivots, self.pivots);
         metrics.add(Counter::PresolveTightenings, tightenings as u64);
         metrics.add(Counter::PresolveRedundantRows, redundant as u64);
+        metrics.add(Counter::MilpLimitHit, u64::from(limit_hit));
     }
 
     /// Most fractional integer variable at the LP point, if any.
@@ -626,6 +621,8 @@ const _: fn() = || {
 mod tests {
     use super::*;
     use crate::model::Model;
+    use std::sync::Arc;
+    use vm1_obs::Telemetry;
 
     fn assert_close(a: f64, b: f64) {
         // Relative comparison: window objectives reach 1e9, where an
@@ -767,8 +764,10 @@ mod tests {
                 .map(|(i, &v)| (v, -((i % 4 + 1) as f64)))
                 .collect::<Vec<_>>(),
         );
+        let sink = Arc::new(Telemetry::new());
         let params = SolveParams {
             max_nodes: 3,
+            metrics: MetricsHandle::of(sink.clone()),
             ..SolveParams::default()
         };
         let sol = solve(&m, &params);
@@ -777,6 +776,7 @@ mod tests {
             sol.status,
             Status::Feasible | Status::Unknown | Status::Optimal
         ));
+        assert_eq!(sink.report().counter(Counter::MilpLimitHit), 1);
     }
 
     #[test]
@@ -820,9 +820,6 @@ mod tests {
 
     #[test]
     fn solve_stats_are_populated_and_reported() {
-        use std::sync::Arc;
-        use vm1_obs::Telemetry;
-
         let mut m = Model::new();
         let vars: Vec<_> = (0..8).map(|i| m.add_binary(&format!("v{i}"))).collect();
         let w: Vec<f64> = (0..8).map(|i| ((i * 3) % 5 + 1) as f64).collect();

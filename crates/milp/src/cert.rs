@@ -61,7 +61,7 @@ pub enum BranchStep {
 #[derive(Clone, Debug, PartialEq)]
 pub enum NodeOutcome {
     /// The node was never solved: pruned by its parent's bound, dropped at
-    /// an iteration/node/time limit, or still on the stack when the search
+    /// an iteration/node limit, or still on the stack when the search
     /// stopped. Its subtree is covered by the nearest ancestor's dual
     /// bound.
     Open,

@@ -10,7 +10,7 @@
 //!   [`lp`];
 //! * a branch-and-bound MILP solver in [`solve`] / [`Solver`] with
 //!   most-fractional and SOS1 branching, a rounding heuristic, warm starts,
-//!   and node/time limits.
+//!   and a node limit.
 //!
 //! The solver is exact on the model classes the workspace produces
 //! (hundreds of bounded variables, big-M indicator constraints); its answers

@@ -114,7 +114,6 @@ pub fn read_def(text: &str, library: &Library) -> Result<Design, ReadDefError> {
     let mut name = String::from("unnamed");
     let mut port_ids: BTreeMap<String, crate::PortId> = BTreeMap::new();
     let mut inst_ids: BTreeMap<String, crate::InstId> = BTreeMap::new();
-    let mut core: Option<(i64, i64)> = None;
 
     let syntax = |ln: usize, m: &str| ReadDefError::Syntax(ln + 1, m.to_owned());
 
@@ -140,9 +139,11 @@ pub fn read_def(text: &str, library: &Library) -> Result<Design, ReadDefError> {
                 }
             }
             "CORE" => {
+                if design.is_some() {
+                    return Err(syntax(ln, "second CORE"));
+                }
                 let rows: i64 = parse_tok(&mut tok, ln, "rows")?;
                 let sites: i64 = parse_tok(&mut tok, ln, "sites")?;
-                core = Some((rows, sites));
                 design = Some(Design::new(&name, library.clone(), rows, sites));
             }
             "PORT" => {
@@ -226,7 +227,6 @@ pub fn read_def(text: &str, library: &Library) -> Result<Design, ReadDefError> {
     }
 
     let d = design.ok_or_else(|| syntax(0, "missing CORE section"))?;
-    let _ = core;
     d.validate_connectivity().map_err(ReadDefError::Invalid)?;
     Ok(d)
 }
@@ -347,6 +347,19 @@ mod tests {
         assert!(matches!(
             read_def(&bad, &lib),
             Err(ReadDefError::Syntax(8, msg)) if msg.contains("port a connected twice")
+        ));
+    }
+
+    #[test]
+    fn second_core_rejected() {
+        // A second CORE used to start a new design while the instance
+        // names still pointed into the first one, so the NET line below
+        // indexed past the new design's instances and panicked.
+        let lib = Library::synthetic_7nm(CellArch::ClosedM1);
+        let bad = format!("{ONE_INV}CORE 2 20\nNET n0 P:a I:u0:A\n");
+        assert!(matches!(
+            read_def(&bad, &lib),
+            Err(ReadDefError::Syntax(7, msg)) if msg.contains("second CORE")
         ));
     }
 

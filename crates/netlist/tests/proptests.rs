@@ -11,6 +11,49 @@ fn arch_from(idx: u8) -> CellArch {
     [CellArch::ClosedM1, CellArch::OpenM1, CellArch::Conv12T][idx as usize % 3]
 }
 
+/// Replacement tokens for the DEF fuzz test: keywords out of place,
+/// numbers at the edges of `i64`, and malformed connections.
+const FUZZ_TOKENS: [&str; 16] = [
+    "",
+    "0",
+    "-1",
+    "9223372036854775807",
+    "-9223372036854775808",
+    "99999999999999999999",
+    "CORE",
+    "INST",
+    "NET",
+    "PORT",
+    "END",
+    "FN",
+    "FIXED",
+    "P:",
+    "I:u0",
+    "I:nope:A",
+];
+
+/// Corrupts DEF `text` one way: `op` 0 truncates it at byte `a`, 1
+/// replaces the `b`-th token of line `a` with `FUZZ_TOKENS[token]`, 2
+/// swaps lines `a` and `b` (indices wrap around).
+fn corrupt(text: &str, op: u8, a: usize, b: usize, token: usize) -> String {
+    let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+    let n = lines.len();
+    match op {
+        0 => return text[..a % (text.len() + 1)].to_owned(),
+        1 => {
+            let line = &mut lines[a % n];
+            let mut toks: Vec<&str> = line.split_whitespace().collect();
+            if !toks.is_empty() {
+                let k = b % toks.len();
+                toks[k] = FUZZ_TOKENS[token % FUZZ_TOKENS.len()];
+            }
+            *line = toks.join(" ");
+        }
+        _ => lines.swap(a % n, b % n),
+    }
+    lines.join("\n")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -96,5 +139,30 @@ proptest! {
                 .count();
             prop_assert_eq!(drivers, 1);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    #[test]
+    fn corrupted_def_is_an_error_never_a_panic(
+        a in 0u8..3,
+        seed in 0u64..10_000,
+        op in 0u8..3,
+        x in 0usize..1_000_000,
+        y in 0usize..1_000_000,
+        token in 0usize..FUZZ_TOKENS.len(),
+    ) {
+        let lib = Library::synthetic_7nm(arch_from(a));
+        let mut d = GeneratorConfig::profile(DesignProfile::M0)
+            .with_insts(20)
+            .generate(&lib, seed);
+        place(&mut d, &PlaceConfig::default(), seed);
+        let text = corrupt(&write_def(&d), op, x, y, token);
+        // `Ok` is fine too: a swap of two INST lines, say, is still a
+        // valid file.
+        let parsed = std::panic::catch_unwind(|| read_def(&text, &lib).map(|_| ()));
+        prop_assert!(parsed.is_ok(), "read_def panicked on:\n{}", text);
     }
 }

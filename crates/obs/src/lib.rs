@@ -18,7 +18,7 @@
 //!   schema is documented in the workspace DESIGN.md §"Observability").
 //!
 //! Counter values are *deterministic* for a fixed seed and configuration:
-//! they count algorithmic events (nodes, pivots, windows, cache hits),
+//! they count algorithmic events (nodes, pivots, windows, batches),
 //! never wall-clock artefacts. Stage times are the only nondeterministic
 //! quantity and are kept separate from the counters.
 //!
@@ -70,6 +70,10 @@ pub enum Counter {
     PresolveRedundantRows,
     /// MILP solves that fell back to the incumbent (no solution found).
     MilpFallbacks,
+    /// Branch-and-bound solves stopped at the node limit (`max_nodes`);
+    /// such a solve returns its best incumbent, which need not be
+    /// optimal.
+    MilpLimitHit,
     /// Nodes explored by the exact DFS window solver.
     DfsNodes,
     /// DFS window solves cut short by the node budget (`max_nodes`);
@@ -84,15 +88,6 @@ pub enum Counter {
     WindowsImproved,
     /// Window batches handed to a window solver.
     BatchesSolved,
-    /// Generic cache hits (reserved for caches other than the window
-    /// batch cache; the `DistOpt` smart selection counts under
-    /// [`Counter::BatchCacheHits`]).
-    CacheHits,
-    /// Window batches skipped by the smart-selection cache of `DistOpt`
-    /// (the dedicated batch-cache counter; kept separate from
-    /// [`Counter::CacheHits`] so other caches can never pollute the
-    /// `batches_skipped` statistic).
-    BatchCacheHits,
     /// Cells moved or flipped by committed window solutions.
     CellsChanged,
     /// `DistOpt` parallel rounds executed (= diagonal sets processed).
@@ -142,7 +137,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in discriminant order.
-    pub const ALL: [Counter; 33] = [
+    pub const ALL: [Counter; 32] = [
         Counter::BbNodes,
         Counter::BbNodesPruned,
         Counter::LpSolves,
@@ -150,14 +145,13 @@ impl Counter {
         Counter::PresolveTightenings,
         Counter::PresolveRedundantRows,
         Counter::MilpFallbacks,
+        Counter::MilpLimitHit,
         Counter::DfsNodes,
         Counter::DfsBudgetExhausted,
         Counter::GreedyPasses,
         Counter::WindowsVisited,
         Counter::WindowsImproved,
         Counter::BatchesSolved,
-        Counter::CacheHits,
-        Counter::BatchCacheHits,
         Counter::CellsChanged,
         Counter::DistOptRounds,
         Counter::DistOptPasses,
@@ -189,14 +183,13 @@ impl Counter {
             Counter::PresolveTightenings => "presolve_tightenings",
             Counter::PresolveRedundantRows => "presolve_redundant_rows",
             Counter::MilpFallbacks => "milp_fallbacks",
+            Counter::MilpLimitHit => "milp_limit_hit",
             Counter::DfsNodes => "dfs_nodes",
             Counter::DfsBudgetExhausted => "dfs_budget_exhausted",
             Counter::GreedyPasses => "greedy_passes",
             Counter::WindowsVisited => "windows_visited",
             Counter::WindowsImproved => "windows_improved",
             Counter::BatchesSolved => "batches_solved",
-            Counter::CacheHits => "cache_hits",
-            Counter::BatchCacheHits => "batch_cache_hits",
             Counter::CellsChanged => "cells_changed",
             Counter::DistOptRounds => "distopt_rounds",
             Counter::DistOptPasses => "distopt_passes",
@@ -427,26 +420,13 @@ impl MetricsSink for NullSink {}
 
 /// The standard in-memory sink: atomic counters, atomic per-stage time
 /// accumulators, and a trajectory vector.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Telemetry {
     counters: [AtomicU64; Counter::ALL.len()],
     stage_nanos: [AtomicU64; Stage::ALL.len()],
     stage_calls: [AtomicU64; Stage::ALL.len()],
     gauges: [AtomicU64; SchedGauge::ALL.len()],
     trajectory: Mutex<Vec<TrajectoryPoint>>,
-}
-
-// `Default` is derived only for arrays of up to 32 elements.
-impl Default for Telemetry {
-    fn default() -> Telemetry {
-        Telemetry {
-            counters: std::array::from_fn(|_| AtomicU64::new(0)),
-            stage_nanos: std::array::from_fn(|_| AtomicU64::new(0)),
-            stage_calls: std::array::from_fn(|_| AtomicU64::new(0)),
-            gauges: std::array::from_fn(|_| AtomicU64::new(0)),
-            trajectory: Mutex::default(),
-        }
-    }
 }
 
 impl Telemetry {
@@ -626,7 +606,7 @@ impl MetricsHandle {
 // ---------------------------------------------------------------------------
 
 /// Owned snapshot of a [`Telemetry`] sink.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 #[must_use = "a metrics report is only useful if it is exported or read"]
 pub struct MetricsReport {
     counters: [u64; Counter::ALL.len()],
@@ -634,19 +614,6 @@ pub struct MetricsReport {
     stage_calls: [u64; Stage::ALL.len()],
     gauges: [u64; SchedGauge::ALL.len()],
     trajectory: Vec<TrajectoryPoint>,
-}
-
-// `Default` is derived only for arrays of up to 32 elements.
-impl Default for MetricsReport {
-    fn default() -> MetricsReport {
-        MetricsReport {
-            counters: [0; Counter::ALL.len()],
-            stage_nanos: [0; Stage::ALL.len()],
-            stage_calls: [0; Stage::ALL.len()],
-            gauges: [0; SchedGauge::ALL.len()],
-            trajectory: Vec::new(),
-        }
-    }
 }
 
 impl MetricsReport {
@@ -804,7 +771,7 @@ mod tests {
         assert!(h.is_enabled());
         h.add(Counter::SimplexPivots, 10);
         h.add(Counter::SimplexPivots, 5);
-        h.incr(Counter::CacheHits);
+        h.incr(Counter::WindowsVisited);
         h.record_time(Stage::Route, 2_000_000);
         h.record_point(TrajectoryPoint {
             param_set: 0,
@@ -815,7 +782,7 @@ mod tests {
         });
         let r = t.report();
         assert_eq!(r.counter(Counter::SimplexPivots), 15);
-        assert_eq!(r.counter(Counter::CacheHits), 1);
+        assert_eq!(r.counter(Counter::WindowsVisited), 1);
         assert_eq!(r.stage_nanos(Stage::Route), 2_000_000);
         assert_eq!(r.stage_calls(Stage::Route), 1);
         assert!((r.stage_ms(Stage::Route) - 2.0).abs() < 1e-9);

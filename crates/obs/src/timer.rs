@@ -6,8 +6,7 @@
 //! sanctioned read carries a reasoned `#[expect]`. Clock reads are
 //! inherently nondeterministic, so confining them here keeps every other
 //! path auditable as order-independent. Code that needs elapsed time
-//! takes a [`Stopwatch`]; apart from the criterion shim's benchmark
-//! timer, nothing else touches the OS clock.
+//! takes a [`Stopwatch`]; nothing else touches the OS clock.
 //!
 //! `std::time::Duration` is a pure value type (no clock read) and may be
 //! used anywhere.

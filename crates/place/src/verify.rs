@@ -234,15 +234,17 @@ fn run_checks(
     let mut rows: Vec<(i64, i64, i64, InstId)> = Vec::with_capacity(design.num_insts());
     for (id, inst) in design.insts() {
         let w = design.library().cell(inst.cell).width_sites;
+        // Saturating: a site read from a file may be near `i64::MAX`.
+        let end = inst.site.saturating_add(w);
         checks += 1;
         if inst.row < 0
             || inst.row >= design.num_rows
             || inst.site < 0
-            || inst.site + w > design.sites_per_row
+            || end > design.sites_per_row
         {
             violations.push(PlacementViolation::OutOfCore { inst: id });
         }
-        rows.push((inst.row, inst.site, inst.site + w, id));
+        rows.push((inst.row, inst.site, end, id));
     }
 
     // Overlaps: sort by (row, site) and compare neighbours. Unlike
@@ -341,13 +343,14 @@ mod tests {
         let orient = d.inst(InstId(0)).orient;
         d.move_inst(InstId(0), -3, 0, orient);
         d.move_inst(InstId(1), 0, d.num_rows + 5, orient);
+        d.move_inst(InstId(2), i64::MAX, 0, orient);
         let r = verify_placement(&d);
         let oob = r
             .violations()
             .iter()
             .filter(|v| matches!(v, PlacementViolation::OutOfCore { .. }))
             .count();
-        assert_eq!(oob, 2, "{}", r.summary());
+        assert_eq!(oob, 3, "{}", r.summary());
     }
 
     #[test]

@@ -2,8 +2,8 @@
 # Workspace CI gate: formatting, lints, build, tests, benchmark smoke run.
 #
 # Everything here works fully offline — the workspace's only external
-# dev-dependencies (proptest, criterion) are local shim crates, so no
-# registry access is needed.
+# dev-dependency (proptest) is a local shim crate, so no registry access
+# is needed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -50,32 +50,40 @@ echo "== determinism: vm1dp opt bit-identical across thread counts =="
 # The scheduler contract: placements and every telemetry counter are
 # invariant under --threads; only stage times and the scheduler gauges
 # may differ. Diff the DEFs and counter sections of 1-, 2- and 8-thread
-# runs.
+# runs, with the DFS engine on a small design and with the MILP engine
+# (whose only limit is its node count) on a micro design.
 cargo run --release -q -p vm1-flow --bin vm1dp -- \
     gen --profile m0 --scale 0.05 --seed 11 -o "$smoke_dir/det.def"
-for t in 1 2 8; do
-    cargo run --release -q -p vm1-flow --bin vm1dp -- \
-        opt -i "$smoke_dir/det.def" -o "$smoke_dir/det_t$t.def" \
-        --threads "$t" --metrics-out "$smoke_dir/det_t$t.csv" > /dev/null
-done
+cargo run --release -q -p vm1-flow --bin vm1dp -- \
+    gen --profile m0 --scale 0.002 --seed 7 -o "$smoke_dir/micro.def"
 # The CSV is "name,value" lines: stage times end in "_ms" and scheduler
 # gauges start with "sched_" — both legitimately run-dependent; every
 # remaining line is a deterministic counter.
 counters() { grep -Ev '(_ms,|^sched_)' "$1"; }
-for t in 2 8; do
-    diff "$smoke_dir/det_t1.def" "$smoke_dir/det_t$t.def"
-    diff <(counters "$smoke_dir/det_t1.csv") <(counters "$smoke_dir/det_t$t.csv")
-done
+# thread_diff NAME INPUT [OPT FLAGS...]
+thread_diff() {
+    local name=$1 input=$2
+    shift 2
+    for t in 1 2 8; do
+        cargo run --release -q -p vm1-flow --bin vm1dp -- \
+            opt -i "$input" -o "$smoke_dir/${name}_t$t.def" "$@" \
+            --threads "$t" --metrics-out "$smoke_dir/${name}_t$t.csv" > /dev/null
+    done
+    for t in 2 8; do
+        diff "$smoke_dir/${name}_t1.def" "$smoke_dir/${name}_t$t.def"
+        diff <(counters "$smoke_dir/${name}_t1.csv") <(counters "$smoke_dir/${name}_t$t.csv")
+    done
+}
+thread_diff det "$smoke_dir/det.def"
+thread_diff det_milp "$smoke_dir/micro.def" --solver milp
 echo "determinism OK"
 
 echo "== certify: proof-carrying MILP solves on a generated micro design =="
 # Under --audit every branch-and-bound window solve records an
 # optimality certificate that the exact-rational checker (vm1-certify)
 # must accept; a rejected certificate exits 6. MILP solves are ~100x
-# slower than DFS, so this stage uses a dedicated micro design rather
-# than the audit smoke above.
-cargo run --release -q -p vm1-flow --bin vm1dp -- \
-    gen --profile m0 --scale 0.002 --seed 7 -o "$smoke_dir/micro.def"
+# slower than DFS, so this stage uses the micro design of the
+# determinism stage rather than the audit smoke above.
 cargo run --release -q -p vm1-flow --bin vm1dp -- \
     opt --audit --solver milp -i "$smoke_dir/micro.def" -o "$smoke_dir/micro_opt.def"
 
