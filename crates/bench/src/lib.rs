@@ -11,10 +11,7 @@
 //! | `expt_fig8` | Figure 8 — DRVs vs utilization |
 //!
 //! All binaries accept `--scale smoke|reduced|full` (default `reduced`)
-//! and, where applicable, `--arch closedm1|openm1|both`. Passing
-//! `--audit` enables [`vm1_flow::set_audit_mode`]: every measurement and
-//! optimizer run is cross-checked by the placement/dM1 auditor and the
-//! binary aborts on the first violation.
+//! and, where applicable, `--arch closedm1|openm1|both`.
 
 #![warn(missing_docs)]
 
@@ -28,8 +25,6 @@ pub struct Cli {
     pub scale: ExperimentScale,
     /// Architectures to run.
     pub archs: ArchSel,
-    /// Audit every measurement/optimizer run (`--audit`).
-    pub audit: bool,
 }
 
 /// Architecture selection.
@@ -65,7 +60,6 @@ pub fn parse_cli(args: &[String]) -> Cli {
     let mut cli = Cli {
         scale: ExperimentScale::Reduced,
         archs: ArchSel::Both,
-        audit: false,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -86,7 +80,6 @@ pub fn parse_cli(args: &[String]) -> Cli {
                     other => usage(&format!("bad --arch {other:?}")),
                 };
             }
-            "--audit" => cli.audit = true,
             "--help" | "-h" => usage(""),
             other => usage(&format!("unknown argument {other}")),
         }
@@ -98,22 +91,15 @@ fn usage(err: &str) -> ! {
     if !err.is_empty() {
         eprintln!("error: {err}");
     }
-    eprintln!(
-        "usage: <binary> [--scale smoke|reduced|full] [--arch closedm1|openm1|both] [--audit]"
-    );
+    eprintln!("usage: <binary> [--scale smoke|reduced|full] [--arch closedm1|openm1|both]");
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }
 
-/// Collects `std::env::args` (minus the binary name) for [`parse_cli`]
-/// and applies process-wide switches (`--audit` enables
-/// [`vm1_flow::set_audit_mode`]), so every experiment binary honors them
-/// uniformly.
+/// Parses `std::env::args` (minus the binary name) with [`parse_cli`].
 #[must_use]
 pub fn env_cli() -> Cli {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cli = parse_cli(&args);
-    vm1_flow::set_audit_mode(cli.audit);
-    cli
+    parse_cli(&args)
 }
 
 #[cfg(test)]
@@ -137,14 +123,6 @@ mod tests {
         assert_eq!(cli.scale, ExperimentScale::Smoke);
         assert_eq!(cli.archs, ArchSel::OpenM1);
         assert_eq!(cli.archs.list(), vec![CellArch::OpenM1]);
-        assert!(!cli.audit);
-    }
-
-    #[test]
-    fn parses_audit_flag() {
-        let cli = parse_cli(&s(&["--audit", "--scale", "smoke"]));
-        assert!(cli.audit);
-        assert_eq!(cli.scale, ExperimentScale::Smoke);
     }
 
     #[test]

@@ -7,17 +7,15 @@
 //!              --solver dfs --metrics-out metrics.json --audit
 //! vm1dp report -i optimized.def --arch closedm1
 //! vm1dp audit  -i optimized.def --arch closedm1
-//! vm1dp certify -i design.def --arch closedm1 -o optimized.def
 //! ```
 //!
 //! `--metrics-out` exports the run's telemetry (solver counters, stage
 //! wall times, objective trajectory); the format follows the file
 //! extension (`.csv` → CSV, anything else → JSON).
 //!
-//! `audit` (or `--audit` on `gen`/`opt`, applied to the result) runs the
-//! static audit layer — placement invariants, the independent dM1
-//! recount, and the MILP model lint on sampled windows — and exits with
-//! a structured code:
+//! `audit` (or `--audit` on `gen`/`opt`, applied to the result) checks
+//! the placement invariants and recounts dM1 independently of the
+//! objective, and exits with a structured code:
 //!
 //! | code | meaning                                   |
 //! |------|-------------------------------------------|
@@ -26,36 +24,32 @@
 //! | 2    | usage error                               |
 //! | 3    | placement invariant violation             |
 //! | 4    | dM1 recount disagrees with the objective  |
-//! | 5    | MILP model lint error                     |
 //! | 6    | solve certificate rejected by the checker |
 //!
-//! When several classes fail, the smallest failing code wins. `opt` and
-//! `certify` check the input placement before optimizing and exit 3 if
-//! it is illegal (a cell off the core or two cells overlapping).
+//! When several classes fail, the smallest failing code wins; code 5 is
+//! unused. `opt` checks the input placement before optimizing and exits
+//! 3 if it is illegal (a cell off the core or two cells overlapping).
 //!
 //! Standard output may be closed early (`vm1dp opt … | head -3`): the
 //! command then stops printing but still writes its `-o` and
 //! `--metrics-out` files and exits with its usual code.
 //!
-//! `certify` runs the optimization with the MILP engine in
-//! proof-carrying mode: every window solve records a branch-and-bound
-//! certificate that the independent exact-arithmetic checker
-//! (`vm1-certify`) replays before the assignment is committed. `opt
-//! --audit --solver milp` certifies the same way as part of the audit.
+//! `opt --audit --solver milp` runs the MILP engine in proof-carrying
+//! mode: every window solve records a branch-and-bound certificate that
+//! the independent exact-arithmetic checker (`vm1-certify`) replays
+//! before the assignment is committed.
 
 use std::fmt;
 use std::io::{self, Write};
 use std::process::exit;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use vm1_core::problem::{Overrides, WindowProblem};
-use vm1_core::window::WindowGrid;
 use vm1_core::{SolverKind, Vm1Config, Vm1Optimizer};
 use vm1_netlist::generator::{DesignProfile, GeneratorConfig};
 use vm1_netlist::io::{read_def, write_def};
 use vm1_netlist::Design;
 use vm1_obs::{Counter, MetricsHandle, Telemetry};
-use vm1_place::{greedy_refine, place, PlaceConfig, RowMap};
+use vm1_place::{greedy_refine, place, PlaceConfig};
 use vm1_route::{route, RouterConfig};
 use vm1_tech::{CellArch, Library};
 use vm1_timing::{analyze, min_clock_period, power};
@@ -107,7 +101,6 @@ fn main() {
         "opt" => cmd_opt(&opts),
         "report" => cmd_report(&opts),
         "audit" => cmd_audit(&opts),
-        "certify" => cmd_certify(&opts),
         "--help" | "-h" => usage(""),
         other => usage(&format!("unknown subcommand {other}")),
     }
@@ -215,7 +208,7 @@ fn usage(err: &str) -> ! {
         eprintln!("error: {err}");
     }
     eprintln!(
-        "usage: vm1dp <gen|opt|report|audit|certify> [--profile m0|aes|jpeg|vga] [--arch closedm1|openm1|conv12t]\n\
+        "usage: vm1dp <gen|opt|report|audit> [--profile m0|aes|jpeg|vga] [--arch closedm1|openm1|conv12t]\n\
          \x20            [--scale F] [--seed N] [--alpha F] [--solver dfs|milp|greedy]\n\
          \x20            [--threads N]\n\
          \x20            [-i FILE] [-o FILE] [--metrics-out FILE(.json|.csv)] [--audit]\n\
@@ -225,14 +218,13 @@ fn usage(err: &str) -> ! {
          bit-identical for every thread count (only wall-clock and the\n\
          scheduler gauges in --metrics-out change).\n\
          \n\
-         certify optimizes with the MILP engine in proof-carrying mode: every\n\
-         window solve is replayed by the exact-arithmetic certificate checker.\n\
+         opt --audit --solver milp replays every window solve through the\n\
+         exact-arithmetic certificate checker.\n\
          \n\
-         audit/certify exit codes (smallest failing class wins; opt and\n\
-         certify also exit 3 on an illegal input placement):\n\
+         audit exit codes (smallest failing class wins; opt also exits 3 on\n\
+         an illegal input placement):\n\
          \x20  0 clean   1 I/O error   2 usage   3 placement violation\n\
-         \x20  4 dM1 recount mismatch   5 MILP model lint error\n\
-         \x20  6 solve certificate rejected"
+         \x20  4 dM1 recount mismatch   6 solve certificate rejected"
     );
     exit(if err.is_empty() { 0 } else { 2 });
 }
@@ -284,32 +276,26 @@ fn save(design: &Design, opts: &Opts) {
     outln!("wrote {path}");
 }
 
-/// Applies the `--threads` option to a config.
-fn apply_parallel(cfg: Vm1Config, opts: &Opts) -> Vm1Config {
-    match opts.threads {
-        Some(t) => cfg.with_threads(t),
-        None => cfg,
-    }
-}
-
-fn audit_config(opts: &Opts) -> Vm1Config {
-    let mut cfg = match opts.arch {
+/// The paper's configuration for `--arch` (OpenM1, else ClosedM1) with
+/// `--alpha` applied.
+fn base_config(opts: &Opts) -> Vm1Config {
+    let cfg = match opts.arch {
         CellArch::OpenM1 => Vm1Config::openm1(),
         _ => Vm1Config::closedm1(),
     };
-    if !opts.alpha.is_nan() {
-        cfg = cfg.with_alpha(opts.alpha);
+    if opts.alpha.is_nan() {
+        cfg
+    } else {
+        cfg.with_alpha(opts.alpha)
     }
-    cfg
 }
 
-/// Runs the full static audit on `design` and returns the process exit
-/// code: 0 clean, 3 placement invariant violation, 4 dM1 recount
-/// mismatch, 5 MILP model lint error (smallest failing class wins).
-/// Findings are printed and recorded through `metrics`.
+/// Runs the static audit on `design` and returns the process exit code:
+/// 0 clean, 3 placement invariant violation, 4 dM1 recount mismatch
+/// (smallest failing class wins). Findings are printed and recorded
+/// through `metrics`.
 fn run_audit(design: &Design, opts: &Opts, metrics: &MetricsHandle) -> i32 {
-    let cfg = audit_config(opts);
-    let report = vm1_core::audit_design_with(design, &cfg, metrics);
+    let report = vm1_core::audit_design_with(design, &base_config(opts), metrics);
     outln!(
         "audit placement : {} checks, {} violations",
         report.placement.checks(),
@@ -329,59 +315,10 @@ fn run_audit(design: &Design, opts: &Opts, metrics: &MetricsHandle) -> i32 {
         out!("{}", report.summary());
     }
 
-    // Model lint over a sample of window MILPs: the first parameter
-    // set's window geometry on the unshifted grid, up to 8 windows with
-    // at least two movable cells each.
-    let mut lint_errors = 0usize;
-    let mut lint_warnings = 0usize;
-    let mut sampled = 0usize;
-    if let Some(u) = cfg.sequence.first() {
-        let tech = design.library().tech();
-        let site = tech.site_width.nm() as f64;
-        let row = tech.row_height.nm() as f64;
-        let bw_sites = ((u.bw_um * 1000.0 / site).round() as i64).max(4);
-        let bh_rows = ((u.bh_um * 1000.0 / row).round() as i64).max(1);
-        let rowmap = RowMap::build(design);
-        let overrides = Overrides::new();
-        let grid = WindowGrid::partition(design, 0, 0, bw_sites, bh_rows);
-        for win in &grid.windows {
-            if sampled >= 8 {
-                break;
-            }
-            let mut movable = WindowProblem::movable_in_window(design, &rowmap, win, &overrides);
-            if movable.len() < 2 {
-                continue;
-            }
-            // Mirror the solver's batching: lint the model of the first
-            // batch, with the rest contributing fixed occupancy.
-            movable.truncate(cfg.max_cells_per_milp);
-            let prob = WindowProblem::build(
-                design, &rowmap, *win, &movable, u.lx, u.ly, false, &cfg, &overrides,
-            );
-            let (model, _) = vm1_core::milp::build_milp(&prob);
-            let lint = vm1_milp::audit::audit_with(&model, metrics);
-            lint_errors += lint.count(vm1_milp::AuditSeverity::Error);
-            lint_warnings += lint.count(vm1_milp::AuditSeverity::Warning);
-            for f in lint
-                .findings()
-                .iter()
-                .filter(|f| f.kind.severity() == vm1_milp::AuditSeverity::Error)
-            {
-                outln!("{f}");
-            }
-            sampled += 1;
-        }
-    }
-    outln!(
-        "audit model lint: {sampled} window models sampled, {lint_errors} errors, {lint_warnings} warnings"
-    );
-
     if !report.placement.is_clean() {
         3
     } else if !report.dm1_consistent() {
         4
-    } else if lint_errors > 0 {
-        5
     } else {
         outln!("audit clean");
         0
@@ -461,17 +398,13 @@ fn cert_code(report: &vm1_obs::MetricsReport) -> i32 {
 
 fn cmd_opt(opts: &Opts) {
     let mut design = load_placed(opts);
-    let mut cfg = match opts.arch {
-        CellArch::OpenM1 => Vm1Config::openm1(),
-        _ => Vm1Config::closedm1(),
-    };
-    if !opts.alpha.is_nan() {
-        cfg = cfg.with_alpha(opts.alpha);
-    }
+    let mut cfg = base_config(opts);
     if let Some(kind) = opts.solver {
         cfg = cfg.with_solver(kind);
     }
-    cfg = apply_parallel(cfg, opts);
+    if let Some(t) = opts.threads {
+        cfg = cfg.with_threads(t);
+    }
     // Under --audit, MILP window solves run in proof-carrying mode: each
     // one is certified by vm1-certify before the assignment commits.
     cfg = cfg.with_certify(opts.audit);
@@ -506,55 +439,6 @@ fn cmd_opt(opts: &Opts) {
     if cert != 0 {
         exit(cert);
     }
-}
-
-/// `vm1dp certify`: optimize with the MILP engine in proof-carrying
-/// mode. Every window solve records a branch-and-bound certificate that
-/// the independent exact-arithmetic checker replays; the assignment only
-/// commits if the certificate is accepted. Exits 6 if any certificate
-/// is rejected. `-o` is optional — without it the command is a pure
-/// verification run.
-fn cmd_certify(opts: &Opts) {
-    if matches!(opts.solver, Some(k) if k != SolverKind::Milp) {
-        usage("certify requires the milp solver");
-    }
-    let mut design = load_placed(opts);
-    let mut cfg = match opts.arch {
-        CellArch::OpenM1 => Vm1Config::openm1(),
-        _ => Vm1Config::closedm1(),
-    };
-    if !opts.alpha.is_nan() {
-        cfg = cfg.with_alpha(opts.alpha);
-    }
-    cfg = apply_parallel(cfg, opts)
-        .with_solver(SolverKind::Milp)
-        .with_certify(true);
-    let sink = Arc::new(Telemetry::new());
-    let stats = Vm1Optimizer::new(cfg)
-        .with_metrics(sink.clone())
-        .run(&mut design);
-    outln!(
-        "objective {:.0} -> {:.0}; alignments {} -> {}; {} cells changed in {} ms",
-        stats.initial_obj,
-        stats.final_obj,
-        stats.initial_alignments,
-        stats.final_alignments,
-        stats.cells_changed,
-        stats.runtime_ms
-    );
-    let report = sink.report();
-    let cert = cert_code(&report);
-    if report.counter(Counter::CertRecorded) == 0 {
-        outln!("certify: no MILP solves were required (nothing to certify)");
-    }
-    write_metrics_out(&report, opts);
-    if opts.output.is_some() {
-        save(&design, opts);
-    }
-    if cert != 0 {
-        exit(cert);
-    }
-    outln!("certify clean");
 }
 
 fn cmd_report(opts: &Opts) {

@@ -122,9 +122,7 @@ pub fn measure(tc: &Testcase, vm1_cfg: &Vm1Config) -> (Snapshot, RouteResult) {
 ///
 /// # Panics
 ///
-/// Panics on a cyclic netlist (cannot happen for generated designs), or
-/// when [`crate::audit_mode`] is enabled and the design being measured
-/// fails the placement/dM1 audit.
+/// Panics on a cyclic netlist (cannot happen for generated designs).
 #[expect(clippy::expect_used, reason = "documented # Panics contract")]
 #[must_use]
 pub fn measure_with(
@@ -132,9 +130,6 @@ pub fn measure_with(
     vm1_cfg: &Vm1Config,
     metrics: &MetricsHandle,
 ) -> (Snapshot, RouteResult) {
-    // Every experiment path measures through here, so this one checkpoint
-    // covers all experiment binaries when `--audit` is on.
-    crate::audit_mode::audit_checkpoint(&tc.design, vm1_cfg, "measure");
     let r = metrics.timed(Stage::Route, || route(&tc.design, &tc.router));
     metrics.add(Counter::RouteSearches, r.stats.searches);
     metrics.add(Counter::RouteHeapPops, r.stats.heap_pops);
@@ -169,7 +164,8 @@ pub fn measure_with(
 /// # Panics
 ///
 /// Panics if the optimizer leaves an illegal placement behind (the
-/// `--audit` invariants catch this earlier in debug builds).
+/// optimizer's placement checkpoints catch this earlier in debug
+/// builds).
 #[expect(clippy::expect_used, reason = "documented # Panics contract")]
 #[must_use]
 pub fn optimize_and_measure(tc: &mut Testcase, vm1_cfg: &Vm1Config) -> ExperimentRow {
@@ -182,7 +178,6 @@ pub fn optimize_and_measure(tc: &mut Testcase, vm1_cfg: &Vm1Config) -> Experimen
     tc.design
         .validate_placement()
         .expect("optimizer preserves legality");
-    crate::audit_mode::audit_checkpoint(&tc.design, vm1_cfg, "post-optimize");
     let (fin, _) = measure_with(tc, vm1_cfg, &metrics);
     ExperimentRow {
         design: tc.design.name().to_owned(),

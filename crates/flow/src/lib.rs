@@ -35,14 +35,12 @@
 
 #![warn(missing_docs)]
 
-mod audit_mode;
 pub mod experiments;
 mod flow;
 mod report;
 mod timing_driven;
 pub mod viz;
 
-pub use audit_mode::{audit_mode, set_audit_mode};
 pub use flow::{build_testcase, measure, measure_with, optimize_and_measure, FlowConfig, Testcase};
 pub use report::{format_metrics_summary, format_table2, ExperimentRow, Snapshot};
 pub use timing_driven::{net_criticality_weights, with_timing_driven_weights};

@@ -21,7 +21,6 @@ const MUST_USE_TYPES: &[(&str, &str)] = &[
     ("crates/core/src/audit.rs", "DesignAuditReport"),
     ("crates/place/src/refine.rs", "RefineStats"),
     ("crates/place/src/verify.rs", "VerifyReport"),
-    ("crates/milp/src/audit.rs", "AuditReport"),
     ("crates/milp/src/branch.rs", "MilpSolution"),
     ("crates/milp/src/branch.rs", "CertifiedSolution"),
     ("crates/milp/src/cert.rs", "Certificate"),

@@ -1,6 +1,8 @@
 //! `vm1dp opt` fails closed: an illegal input placement exits 3 before
-//! anything is optimized, and a closed standard output neither panics
-//! nor stops the command from writing its files.
+//! anything is optimized, an out-of-range core exits 1 before anything
+//! is allocated for it, and a closed standard output neither panics nor
+//! stops the command from writing its files. `vm1dp audit` exits 0 on a
+//! legal design and 3 on an overlapping one.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -41,19 +43,29 @@ fn generate(dir: &Path) -> io::Result<PathBuf> {
     Ok(path)
 }
 
-#[test]
-fn opt_rejects_an_overlapping_placement_with_exit_3() {
-    let dir = scratch_dir("opt_rejects_overlap").unwrap();
-    let text = std::fs::read_to_string(generate(&dir).unwrap()).unwrap();
-    // Put the second instance on the first one's site and row.
+/// Writes `dir/bad.def`: a generated design with its second instance
+/// moved onto the first one's site and row.
+fn generate_overlapping(dir: &Path) -> io::Result<PathBuf> {
+    let text = std::fs::read_to_string(generate(dir)?)?;
     let mut insts = text.lines().filter(|l| l.starts_with("INST "));
-    let first: Vec<&str> = insts.next().unwrap().split_whitespace().collect();
-    let second = insts.next().unwrap();
+    let (Some(first), Some(second)) = (insts.next(), insts.next()) else {
+        return Err(io::Error::other(
+            "generated design has fewer than two instances",
+        ));
+    };
+    let first: Vec<&str> = first.split_whitespace().collect();
     let mut moved: Vec<&str> = second.split_whitespace().collect();
     moved[3] = first[3];
     moved[4] = first[4];
     let bad = dir.join("bad.def");
-    std::fs::write(&bad, text.replacen(second, &moved.join(" "), 1)).unwrap();
+    std::fs::write(&bad, text.replacen(second, &moved.join(" "), 1))?;
+    Ok(bad)
+}
+
+#[test]
+fn opt_rejects_an_overlapping_placement_with_exit_3() {
+    let dir = scratch_dir("opt_rejects_overlap").unwrap();
+    let bad = generate_overlapping(&dir).unwrap();
 
     let out_def = dir.join("out.def");
     let out = vm1dp()
@@ -108,4 +120,50 @@ fn opt_with_closed_stdout_writes_complete_files() {
         metrics.contains("\"cells_changed\""),
         "metrics file incomplete"
     );
+}
+
+#[test]
+fn opt_rejects_an_oversized_core_with_exit_1() {
+    let dir = scratch_dir("opt_rejects_oversized_core").unwrap();
+    let huge = dir.join("huge.def");
+    std::fs::write(
+        &huge,
+        "VM1DEF 1\nDESIGN huge\nARCH ClosedM1\nCORE 4000000000000 100\nEND\n",
+    )
+    .unwrap();
+    let out_def = dir.join("out.def");
+    let out = vm1dp()
+        .args(["opt", "-i"])
+        .arg(&huge)
+        .arg("-o")
+        .arg(&out_def)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("line 4: core of 4000000000000 rows x 100 sites is out of range"),
+        "stderr: {stderr}"
+    );
+    assert!(!out_def.exists());
+}
+
+#[test]
+fn audit_of_a_legal_design_exits_0() {
+    let dir = scratch_dir("audit_legal").unwrap();
+    let input = generate(&dir).unwrap();
+    let out = vm1dp().args(["audit", "-i"]).arg(&input).output().unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "stdout: {stdout}");
+    assert!(stdout.contains("audit clean"), "stdout: {stdout}");
+}
+
+#[test]
+fn audit_of_an_overlapping_placement_exits_3() {
+    let dir = scratch_dir("audit_overlap").unwrap();
+    let bad = generate_overlapping(&dir).unwrap();
+    let out = vm1dp().args(["audit", "-i"]).arg(&bad).output().unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(3), "stdout: {stdout}");
+    assert!(!stdout.contains("audit clean"), "stdout: {stdout}");
 }

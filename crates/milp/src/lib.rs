@@ -37,7 +37,6 @@
 
 #![warn(missing_docs)]
 
-pub mod audit;
 mod branch;
 pub mod cert;
 pub mod lp;
@@ -45,7 +44,6 @@ mod model;
 mod presolve;
 pub mod tol;
 
-pub use audit::{AuditFinding, AuditKind, AuditReport, AuditSeverity, BigMFix};
 pub use branch::{
     solve, solve_certified, CertifiedSolution, MilpSolution, SolveParams, Solver, Status,
 };

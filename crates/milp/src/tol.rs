@@ -1,20 +1,13 @@
-//! Named numeric tolerances shared by the solver stack and the audit
-//! layer.
+//! Named numeric tolerances of the solver stack.
 //!
 //! Every floating-point slack the MILP crate uses lives here, with its
 //! rationale, instead of as an anonymous `1e-…` literal at the point of
 //! use (`crates/flow/tests/source_policy.rs` forbids raw
 //! negative-exponent float literals in this crate's library code outside
-//! this module). Two groups:
-//!
-//! * **Solver tolerances** — how far the simplex / branch-and-bound let
-//!   floating arithmetic drift before a comparison flips. These are
-//!   engineering knobs: loosening them hides infeasibility, tightening
-//!   them causes cycling on ill-conditioned bases.
-//! * **Audit tolerances** — what the static model linter treats as
-//!   "equal" when pattern-matching model structure. These should stay at
-//!   least as tight as the solver tolerances so the lint never blesses a
-//!   model the solver would mishandle.
+//! this module). Each says how far the simplex / branch-and-bound let
+//! floating arithmetic drift before a comparison flips. These are
+//! engineering knobs: loosening them hides infeasibility, tightening
+//! them causes cycling on ill-conditioned bases.
 //!
 //! The `vm1-certify` checker deliberately uses none of these: its
 //! verdict path is exact rational arithmetic with its own dyadic
@@ -84,18 +77,6 @@ pub const ACTIVITY_INFEAS_TOL: f64 = 1e-7;
 /// that integer, not past it.
 pub const INT_ROUND_FUDGE: f64 = 1e-7;
 
-/// Audit: big-M slack above which the model linter reports a loose
-/// indicator coefficient.
-pub const BIGM_SLACK_TOL: f64 = 1e-6;
-
-/// Audit: how closely a convexity row's rhs and coefficients must match
-/// 1 to count as a `sum == 1` row for an SOS1 group.
-pub const UNIT_COEFF_TOL: f64 = 1e-9;
-
-/// Audit: coefficients below this are treated as structurally zero when
-/// pattern-matching rows.
-pub const COEFF_ZERO_TOL: f64 = 1e-12;
-
 /// Relative-tolerance float comparison: `a` and `b` are close if their
 /// difference is within `tol` scaled by the larger magnitude (with an
 /// absolute floor of `tol` for values near zero). Use this instead of a
@@ -121,11 +102,5 @@ mod tests {
         // relative, but far outside 1e-6 absolute.
         assert!(approx_eq_rel(1e9, 1e9 + 100.0, 1e-6));
         assert!(!approx_eq_rel(1e9, 1e9 + 1e5, 1e-6));
-    }
-
-    #[test]
-    fn audit_tolerances_not_looser_than_solver() {
-        const { assert!(UNIT_COEFF_TOL <= FEAS_TOL) };
-        const { assert!(COEFF_ZERO_TOL <= FEAS_TOL) };
     }
 }

@@ -331,15 +331,6 @@ impl Design {
         Point::new(t.site_to_x(inst.site), t.row_to_y(inst.row))
     }
 
-    /// Absolute outline rectangle of an instance.
-    #[must_use]
-    pub fn inst_rect(&self, id: InstId) -> Rect {
-        let inst = &self.insts[id.0];
-        let cell = self.library.cell(inst.cell);
-        let origin = self.inst_origin(id);
-        Rect::new(origin, origin + Point::new(cell.width, cell.height))
-    }
-
     /// Absolute centre position of a pin (the MILP's `(x_c + x_p, y_c + y_p)`).
     #[must_use]
     pub fn pin_position(&self, pr: PinRef) -> Point {

@@ -23,11 +23,38 @@ use std::fmt;
 use vm1_geom::{Dbu, Orient, Point};
 use vm1_tech::{Library, PinDir};
 
+/// Most rows [`read_def`] accepts in a `CORE` line. The largest design
+/// the generator makes, vga at the paper's size (`--scale 1`, 68,606
+/// instances), has 271 rows (ClosedM1); this is 240 times that.
+pub const MAX_CORE_ROWS: i64 = 1 << 16;
+
+/// Most sites per row [`read_def`] accepts in a `CORE` line: 100 times
+/// the 2,569 of the widest generated core (vga, Conv12T, `--scale 1`).
+pub const MAX_CORE_SITES: i64 = 1 << 18;
+
+/// Most sites in all (rows × sites per row) [`read_def`] accepts: 61
+/// times the 549,859 of the largest generated core (vga, `--scale 1`).
+/// The occupancy index and the window grid allocate per row and per
+/// window, so an absurd `CORE` line is refused before anything is
+/// allocated for it.
+pub const MAX_CORE_AREA: i64 = 1 << 25;
+
 /// Error from [`read_def`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ReadDefError {
     /// Line did not match the expected grammar.
     Syntax(usize, String),
+    /// A `CORE` dimension is not positive, or the rows, the sites per
+    /// row or their product exceed [`MAX_CORE_ROWS`], [`MAX_CORE_SITES`]
+    /// or [`MAX_CORE_AREA`].
+    CoreSize {
+        /// 1-based line of the `CORE` statement.
+        line: usize,
+        /// Rows as written.
+        rows: i64,
+        /// Sites per row as written.
+        sites: i64,
+    },
     /// Reference to an unknown cell/pin/port/instance.
     Unknown(usize, String),
     /// The library's architecture does not match the file.
@@ -40,6 +67,12 @@ impl fmt::Display for ReadDefError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ReadDefError::Syntax(line, msg) => write!(f, "line {line}: syntax error: {msg}"),
+            ReadDefError::CoreSize { line, rows, sites } => write!(
+                f,
+                "line {line}: core of {rows} rows x {sites} sites is out of range \
+                 (1..={MAX_CORE_ROWS} rows, 1..={MAX_CORE_SITES} sites per row, \
+                 at most {MAX_CORE_AREA} sites in all)"
+            ),
             ReadDefError::Unknown(line, what) => write!(f, "line {line}: unknown {what}"),
             ReadDefError::ArchMismatch(a) => {
                 write!(f, "library architecture mismatch: file has {a}")
@@ -106,7 +139,8 @@ pub fn write_def(design: &Design) -> String {
 /// # Errors
 ///
 /// Returns [`ReadDefError`] on grammar violations, unknown references, or
-/// architecture mismatch, and when a net names a pin its cell lacks or
+/// architecture mismatch, when the `CORE` size is out of range (see
+/// [`MAX_CORE_AREA`]), and when a net names a pin its cell lacks or
 /// connects a pin or port that is already connected. Connectivity is
 /// re-validated after parsing.
 pub fn read_def(text: &str, library: &Library) -> Result<Design, ReadDefError> {
@@ -144,6 +178,16 @@ pub fn read_def(text: &str, library: &Library) -> Result<Design, ReadDefError> {
                 }
                 let rows: i64 = parse_tok(&mut tok, ln, "rows")?;
                 let sites: i64 = parse_tok(&mut tok, ln, "sites")?;
+                let in_range = (1..=MAX_CORE_ROWS).contains(&rows)
+                    && (1..=MAX_CORE_SITES).contains(&sites)
+                    && rows.checked_mul(sites).is_some_and(|a| a <= MAX_CORE_AREA);
+                if !in_range {
+                    return Err(ReadDefError::CoreSize {
+                        line: ln + 1,
+                        rows,
+                        sites,
+                    });
+                }
                 design = Some(Design::new(&name, library.clone(), rows, sites));
             }
             "PORT" => {
@@ -315,6 +359,32 @@ mod tests {
             read_def(bad, &lib),
             Err(ReadDefError::Unknown(5, _))
         ));
+    }
+
+    #[test]
+    fn core_size_out_of_range_rejected() {
+        let lib = Library::synthetic_7nm(CellArch::ClosedM1);
+        let def = |core: &str| format!("VM1DEF 1\nDESIGN x\nARCH ClosedM1\nCORE {core}\nEND\n");
+        for (core, rows, sites) in [
+            ("4000000000000 100", 4_000_000_000_000, 100),
+            ("0 20", 0, 20),
+            ("2 -1", 2, -1),
+            ("65537 2", MAX_CORE_ROWS + 1, 2),
+            ("2 262145", 2, MAX_CORE_SITES + 1),
+            ("65536 1024", MAX_CORE_ROWS, 1024),
+        ] {
+            assert_eq!(
+                read_def(&def(core), &lib).err(),
+                Some(ReadDefError::CoreSize {
+                    line: 4,
+                    rows,
+                    sites
+                }),
+                "CORE {core}"
+            );
+        }
+        let d = read_def(&def("65536 512"), &lib).unwrap();
+        assert_eq!(d.num_rows * d.sites_per_row, MAX_CORE_AREA);
     }
 
     const ONE_INV: &str = "VM1DEF 1\nDESIGN x\nARCH ClosedM1\nCORE 2 20\n\

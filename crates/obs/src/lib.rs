@@ -104,14 +104,9 @@ pub enum Counter {
     Iterations,
     /// Parameter sets of the optimization sequence processed.
     ParamSets,
-    /// Error-severity findings reported by the static auditors
-    /// (`milp::audit` model lint, `place::verify`, `core::audit`).
+    /// dM1 recount mismatches found by `core::audit` (the independent
+    /// recount of Σ d_pq disagreeing with the objective's count).
     AuditErrors,
-    /// Warning-severity findings reported by the static auditors.
-    AuditWarnings,
-    /// Big-M indicator coefficients the MILP model linter proved loose
-    /// and tightened against derived variable bounds.
-    AuditBigMTightened,
     /// Placement invariants checked by `place::verify` /
     /// `core::audit` checkpoint runs.
     AuditPlacementChecks,
@@ -137,7 +132,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in discriminant order.
-    pub const ALL: [Counter; 32] = [
+    pub const ALL: [Counter; 30] = [
         Counter::BbNodes,
         Counter::BbNodesPruned,
         Counter::LpSolves,
@@ -160,8 +155,6 @@ impl Counter {
         Counter::Iterations,
         Counter::ParamSets,
         Counter::AuditErrors,
-        Counter::AuditWarnings,
-        Counter::AuditBigMTightened,
         Counter::AuditPlacementChecks,
         Counter::AuditPlacementViolations,
         Counter::CertRecorded,
@@ -198,8 +191,6 @@ impl Counter {
             Counter::Iterations => "iterations",
             Counter::ParamSets => "param_sets",
             Counter::AuditErrors => "audit_errors",
-            Counter::AuditWarnings => "audit_warnings",
-            Counter::AuditBigMTightened => "audit_bigm_tightened",
             Counter::AuditPlacementChecks => "audit_placement_checks",
             Counter::AuditPlacementViolations => "audit_placement_violations",
             Counter::CertRecorded => "cert_recorded",
@@ -246,8 +237,8 @@ pub enum Stage {
     Route,
     /// STA + power analysis of the measurement flow.
     Analysis,
-    /// Static audits: MILP model lint and placement invariant
-    /// verification (checkpoints and explicit `--audit` runs).
+    /// Static audits: placement invariant verification and the dM1
+    /// recount (checkpoints and explicit `--audit` runs).
     Audit,
     /// Exact-arithmetic certificate verification (`vm1-certify` replay
     /// of recorded branch-and-bound certificates).
@@ -409,14 +400,6 @@ pub trait MetricsSink: Send + Sync + fmt::Debug {
         let _ = (gauge, value);
     }
 }
-
-/// A sink that drops everything. Useful as an explicit "instrumented but
-/// discarding" target in tests; for production, prefer a disabled
-/// [`MetricsHandle`], which skips the virtual call entirely.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullSink;
-
-impl MetricsSink for NullSink {}
 
 /// The standard in-memory sink: atomic counters, atomic per-stage time
 /// accumulators, and a trajectory vector.

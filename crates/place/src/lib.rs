@@ -1,6 +1,6 @@
-//! Placement for the vm1dp workspace: a net-centroid global placer, a
-//! Tetris-style legalizer, and a greedy wirelength-driven detailed
-//! refinement pass.
+//! Placement for the vm1dp workspace: a net-centroid global placer whose
+//! row packing leaves every placement legal, and a greedy
+//! wirelength-driven detailed refinement pass.
 //!
 //! The paper starts from a commercial (Innovus) placement; this crate
 //! produces the equivalent *input* to the vertical-M1 optimization — a
@@ -26,16 +26,12 @@
 
 #![warn(missing_docs)]
 
-mod abacus;
 mod global;
-mod legalize;
 mod refine;
 mod rowmap;
 pub mod verify;
 
-pub use abacus::legalize_abacus;
 pub use global::{place, scatter, PlaceConfig};
-pub use legalize::legalize;
 pub use refine::{greedy_refine, RefineStats};
 pub use rowmap::{RowMap, SpanMove};
 pub use verify::{

@@ -21,9 +21,9 @@ pub struct SpanMove {
 /// Per-row occupancy index over placement sites.
 ///
 /// Maintains, for every row, the sorted list of occupied `[start, end)`
-/// site spans with their owning instances. Used by the legalizer, the
-/// refinement pass, and the window optimizer to answer "is this span free?"
-/// and to move cells while keeping the index consistent.
+/// site spans with their owning instances. Used by the refinement pass
+/// and the window optimizer to answer "is this span free?" and to move
+/// cells while keeping the index consistent.
 ///
 /// # Examples
 ///
@@ -49,14 +49,6 @@ pub struct RowMap {
 }
 
 impl RowMap {
-    /// Assembles an index from raw parts (crate-internal).
-    pub(crate) fn from_parts(rows: Vec<Vec<(i64, i64, InstId)>>, sites_per_row: i64) -> RowMap {
-        RowMap {
-            rows,
-            sites_per_row,
-        }
-    }
-
     /// Builds the occupancy index from the current placement.
     #[must_use]
     pub fn build(design: &Design) -> RowMap {

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use vm1_netlist::generator::{DesignProfile, GeneratorConfig};
 use vm1_netlist::Design;
-use vm1_place::{greedy_refine, legalize, place, scatter, PlaceConfig};
+use vm1_place::{greedy_refine, place, scatter, PlaceConfig};
 use vm1_tech::{CellArch, Library};
 
 fn profile_from(idx: u8) -> DesignProfile {
@@ -46,21 +46,6 @@ proptest! {
     ) {
         let mut d = generate(DesignProfile::Aes, CellArch::ClosedM1, n, util, seed);
         scatter(&mut d, seed.wrapping_mul(31));
-        prop_assert!(d.validate_placement().is_ok());
-    }
-
-    #[test]
-    fn legalize_fixes_collapsed_placements(
-        n in 40usize..150,
-        seed in 0u64..1000,
-    ) {
-        let mut d = generate(DesignProfile::M0, CellArch::ClosedM1, n, 0.6, seed);
-        // Collapse everything onto the origin.
-        let ids: Vec<_> = d.insts().map(|(id, _)| id).collect();
-        for id in ids {
-            d.move_inst(id, 0, 0, vm1_geom::Orient::North);
-        }
-        legalize(&mut d).expect("feasible core");
         prop_assert!(d.validate_placement().is_ok());
     }
 

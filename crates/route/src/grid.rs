@@ -353,15 +353,6 @@ impl RoutingGrid {
             .map(|&u| u.saturating_sub(1) as usize)
             .sum()
     }
-
-    /// Length in nm of a wire edge on `layer`.
-    #[must_use]
-    pub fn wire_len(&self, layer: Layer) -> i64 {
-        match layer.dir() {
-            LayerDir::Horizontal => self.pitch_x,
-            LayerDir::Vertical => self.pitch_y,
-        }
-    }
 }
 
 /// A routing resource: one wire edge (keyed by its lower/left node) or one

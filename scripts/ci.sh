@@ -34,7 +34,7 @@ echo "== audit: debug-assertion test pass (placement checkpoints active) =="
 # [profile.test] keeps debug assertions on, so the suite above already
 # exercises every debug_checkpoint; this re-runs just the audit-layer
 # crates explicitly so a checkpoint regression fails the stage by name.
-cargo test -q -p vm1-milp -p vm1-place -p vm1-core audit
+cargo test -q -p vm1-place -p vm1-core audit
 
 echo "== audit: vm1dp --audit on a generated smoke design =="
 smoke_dir=$(mktemp -d)
@@ -79,11 +79,12 @@ thread_diff det_milp "$smoke_dir/micro.def" --solver milp
 echo "determinism OK"
 
 echo "== certify: proof-carrying MILP solves on a generated micro design =="
-# Under --audit every branch-and-bound window solve records an
-# optimality certificate that the exact-rational checker (vm1-certify)
-# must accept; a rejected certificate exits 6. MILP solves are ~100x
-# slower than DFS, so this stage uses the micro design of the
-# determinism stage rather than the audit smoke above.
+# `opt --audit --solver milp` is the certified run: every
+# branch-and-bound window solve records an optimality certificate that
+# the exact-rational checker (vm1-certify) must accept; a rejected
+# certificate exits 6. MILP solves are ~100x slower than DFS, so this
+# stage uses the micro design of the determinism stage rather than the
+# audit smoke above.
 cargo run --release -q -p vm1-flow --bin vm1dp -- \
     opt --audit --solver milp -i "$smoke_dir/micro.def" -o "$smoke_dir/micro_opt.def"
 
