@@ -75,8 +75,12 @@ pub struct Vm1Config {
     pub max_cells_per_milp: usize,
     /// Window solver engine.
     pub solver: SolverKind,
-    /// Node budget for the exact solvers (per window batch); the MILP
-    /// engine takes at most [`crate::solver::MILP_MAX_NODES`].
+    /// Node budget for the exact solvers, one per window batch: the DFS
+    /// engine's searches of a batch's independent components share it,
+    /// each starting with what the earlier ones left. A solve that
+    /// reaches it is cut short and counted (`dfs_budget_exhausted`,
+    /// `milp_limit_hit`). The MILP engine takes at most
+    /// [`crate::solver::MILP_MAX_NODES`].
     pub max_nodes: usize,
     /// Safety cap on Algorithm 1 inner iterations per parameter set.
     pub max_inner_iters: usize,

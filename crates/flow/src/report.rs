@@ -126,8 +126,9 @@ impl ExperimentRow {
 }
 
 /// Formats a telemetry report as a human-readable summary table:
-/// solver-work counters, per-stage wall times, parallel utilization, and
-/// the per-ParamSet objective/alignment trajectory.
+/// solver-work counters, the exactness verdict
+/// ([`MetricsReport::all_exact`]), per-stage wall times, parallel
+/// utilization, and the per-ParamSet objective/alignment trajectory.
 #[must_use]
 pub fn format_metrics_summary(r: &MetricsReport) -> String {
     let mut out = String::from("-- telemetry --\n");
@@ -138,6 +139,8 @@ pub fn format_metrics_summary(r: &MetricsReport) -> String {
             out.push_str(&format!("{:<24} {:>8}\n", c.name(), v));
         }
     }
+    let exact = if r.all_exact() { "yes" } else { "no" };
+    out.push_str(&format!("{:<24} {exact:>8}\n", "exact"));
     out.push_str("stage                    ms      calls\n");
     for s in Stage::ALL {
         if r.stage_calls(s) > 0 {
@@ -268,6 +271,7 @@ mod tests {
         let text = format_metrics_summary(&t.report());
         assert!(text.contains("bb_nodes"));
         assert!(!text.contains("cells_changed"), "zero counters are elided");
+        assert!(text.contains("exact                         yes\n"));
         assert!(text.contains("route"));
         assert!(!text.contains("milp_solve"), "untimed stages are elided");
         assert!(text.contains("trajectory"));

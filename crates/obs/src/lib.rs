@@ -637,6 +637,22 @@ impl MetricsReport {
         &self.trajectory
     }
 
+    /// Whether every window solve of the run was exact: no DFS search
+    /// stopped at its node budget, no MILP solve stopped at its node
+    /// limit or fell back to the input placement, and no certificate was
+    /// rejected. Derived from counters only, so deterministic.
+    #[must_use]
+    pub fn all_exact(&self) -> bool {
+        [
+            Counter::DfsBudgetExhausted,
+            Counter::MilpLimitHit,
+            Counter::MilpFallbacks,
+            Counter::CertRejected,
+        ]
+        .into_iter()
+        .all(|c| self.counter(c) == 0)
+    }
+
     /// Estimated parallel utilization of the window workers: total
     /// thread-time spent solving windows divided by the wall-clock of the
     /// `DistOpt` passes. 1.0 ≈ one core busy; values near the thread
@@ -662,7 +678,10 @@ impl MetricsReport {
             }
             out.push_str(&format!("\n    \"{}\": {}", c.name(), self.counter(*c)));
         }
-        out.push_str("\n  },\n  \"stages_ms\": {");
+        out.push_str(&format!(
+            "\n  }},\n  \"exact\": {},\n  \"stages_ms\": {{",
+            self.all_exact()
+        ));
         for (i, s) in Stage::ALL.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -707,14 +726,16 @@ impl MetricsReport {
         out
     }
 
-    /// Serializes counters and stage times as `key,value` CSV lines
-    /// (counters in raw units, stages in milliseconds).
+    /// Serializes counters, the exactness verdict (`exact,1|0`) and stage
+    /// times as `key,value` CSV lines (counters in raw units, stages in
+    /// milliseconds).
     #[must_use]
     pub fn to_csv(&self) -> String {
         let mut out = String::from("metric,value\n");
         for c in Counter::ALL {
             out.push_str(&format!("{},{}\n", c.name(), self.counter(c)));
         }
+        out.push_str(&format!("exact,{}\n", u8::from(self.all_exact())));
         for s in Stage::ALL {
             out.push_str(&format!("{}_ms,{}\n", s.name(), json_f64(self.stage_ms(s))));
         }
@@ -836,9 +857,32 @@ mod tests {
         let lines = csv.lines().count();
         assert_eq!(
             lines,
-            1 + Counter::ALL.len() + Stage::ALL.len() + SchedGauge::ALL.len()
+            2 + Counter::ALL.len() + Stage::ALL.len() + SchedGauge::ALL.len()
         );
         assert!(csv.starts_with("metric,value\n"));
+    }
+
+    #[test]
+    fn exactness_verdict_reads_every_limit_counter() {
+        assert!(Telemetry::new().report().all_exact());
+        for c in [
+            Counter::DfsBudgetExhausted,
+            Counter::MilpLimitHit,
+            Counter::MilpFallbacks,
+            Counter::CertRejected,
+        ] {
+            let t = Telemetry::new();
+            t.add(Counter::DfsNodes, 5);
+            assert!(t.report().all_exact(), "node counts alone stay exact");
+            t.add(c, 1);
+            let r = t.report();
+            assert!(!r.all_exact(), "{}", c.name());
+            assert!(r.to_json().contains("\"exact\": false,"));
+            assert!(r.to_csv().contains("\nexact,0\n"));
+        }
+        let r = Telemetry::new().report();
+        assert!(r.to_json().contains("\"exact\": true,"));
+        assert!(r.to_csv().contains("\nexact,1\n"));
     }
 
     #[test]
