@@ -2,11 +2,14 @@
 //! MILP optimum must be accepted by the exact-arithmetic checker and
 //! must match the exhaustively enumerated optimum on small windows.
 
+use std::sync::Arc;
 use vm1_core::problem::{Overrides, WindowProblem};
+use vm1_core::solver::MILP_MAX_NODES;
 use vm1_core::window::WindowGrid;
 use vm1_core::{milp, Vm1Config};
 use vm1_milp::{solve_certified, SolveParams};
 use vm1_netlist::generator::{DesignProfile, GeneratorConfig};
+use vm1_obs::{Counter, MetricsHandle, Telemetry};
 use vm1_place::{place, PlaceConfig, RowMap};
 use vm1_tech::{CellArch, Library};
 
@@ -66,10 +69,12 @@ fn brute_force(prob: &WindowProblem) -> f64 {
 }
 
 /// Every window solve of the generated designs must produce a
-/// certificate the exact-arithmetic checker accepts.
+/// certificate the exact-arithmetic checker accepts, also a solve that
+/// stops at the node limit with only an incumbent.
 #[test]
 fn every_window_certificate_verifies() {
     let mut solves = 0usize;
+    let mut limit_hits = 0usize;
     let mut rejected = Vec::new();
     for (arch, seed) in [(CellArch::ClosedM1, 11), (CellArch::OpenM1, 12)] {
         for_each_window(arch, seed, 8, &mut |prob| {
@@ -77,22 +82,25 @@ fn every_window_certificate_verifies() {
                 return;
             }
             let (model, vars) = milp::build_milp(&prob);
-            // Mirror the optimizer's solve parameters, warm start
-            // included — the warm-started zero-gap path must certify
+            // Mirror the optimizer's solve parameters, node limit and warm
+            // start included — the warm-started zero-gap path must certify
             // exactly like a cold solve.
+            let sink = Arc::new(Telemetry::new());
             let params = SolveParams {
-                max_nodes: 300_000,
+                max_nodes: Vm1Config::closedm1().max_nodes.min(MILP_MAX_NODES),
                 warm_start: Some(milp::warm_start(
                     &prob,
                     &model,
                     &vars,
                     &prob.current_assign(),
                 )),
+                metrics: MetricsHandle::of(sink.clone()),
                 ..SolveParams::default()
             };
             let certified = solve_certified(&model, &params);
             let report = vm1_certify::check(&model, &certified.certificate);
             solves += 1;
+            limit_hits += sink.report().counter(Counter::MilpLimitHit) as usize;
             if !report.accepted {
                 rejected.push(format!(
                     "{arch} seed {seed} ({} vars, {} rows): {}",
@@ -113,6 +121,7 @@ fn every_window_certificate_verifies() {
         rejected.len(),
         rejected.join("\n")
     );
+    assert!(limit_hits >= 1, "no solve stopped at the node limit");
 }
 
 /// On windows small enough to enumerate, the certified optimum must

@@ -30,6 +30,13 @@ echo "== router exactness tests in release =="
 # tests must also pass in the build that ships.
 cargo test --release -q -p vm1-route
 
+echo "== DFS exactness tests in release =="
+# The DFS bound sums i64 box spans, which trap on overflow in the test
+# profile and wrap in release. Replay the golden pass (with and without
+# the node budget) and the brute-force, split and root-bound differential
+# tests in the build that ships.
+cargo test --release -q -p vm1-core --test golden_dfs --test dfs_exact
+
 echo "== audit: debug-assertion test pass (placement checkpoints active) =="
 # [profile.test] keeps debug assertions on, so the suite above already
 # exercises every debug_checkpoint; this re-runs just the audit-layer
