@@ -10,7 +10,7 @@
 //! | `expt_b` | Table 2 — ClosedM1 and OpenM1 designs |
 //! | `expt_fig8` | Figure 8 — DRVs vs utilization |
 //!
-//! All binaries accept `--scale smoke|reduced|full` (default `reduced`)
+//! All binaries accept `--scale smoke|reduced` (default `reduced`)
 //! and, where applicable, `--arch closedm1|openm1|both`.
 
 #![warn(missing_docs)]
@@ -68,7 +68,6 @@ pub fn parse_cli(args: &[String]) -> Cli {
                 cli.scale = match it.next().map(String::as_str) {
                     Some("smoke") => ExperimentScale::Smoke,
                     Some("reduced") => ExperimentScale::Reduced,
-                    Some("full") => ExperimentScale::Full,
                     other => usage(&format!("bad --scale {other:?}")),
                 };
             }
@@ -91,7 +90,7 @@ fn usage(err: &str) -> ! {
     if !err.is_empty() {
         eprintln!("error: {err}");
     }
-    eprintln!("usage: <binary> [--scale smoke|reduced|full] [--arch closedm1|openm1|both]");
+    eprintln!("usage: <binary> [--scale smoke|reduced] [--arch closedm1|openm1|both]");
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }
 

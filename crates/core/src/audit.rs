@@ -110,7 +110,7 @@ pub fn audit_design_with(
 pub fn recount_alignments(design: &Design, cfg: &Vm1Config) -> usize {
     let arch = design.library().arch();
     let tech = design.library().tech();
-    let y_span = tech.row_height * cfg.gamma;
+    let y_span = tech.gamma_span();
     match arch {
         CellArch::Conv12T => 0,
         CellArch::ClosedM1 => {
@@ -172,7 +172,7 @@ pub fn recount_alignments(design: &Design, cfg: &Vm1Config) -> usize {
                     for b in &pins[a_idx + 1..] {
                         if a.0 != b.0
                             && (a.2 - b.2).abs() <= y_span.nm()
-                            && a.1.overlap_len(b.1) >= cfg.delta
+                            && a.1.overlap_len(b.1) >= tech.delta
                         {
                             count += 1;
                         }
@@ -267,12 +267,13 @@ mod tests {
 
     #[test]
     fn detects_seeded_dm1_miscount() {
-        // A mis-weighted config pair simulates an objective whose claimed
-        // dM1 disagrees with the placement: recount with γ = 3 against a
-        // report computed with γ = 0 (which suppresses cross-row pairs).
+        // A mis-set config pair simulates an objective whose claimed dM1
+        // disagrees with the placement: recount with the default pin cap
+        // against a report computed with `max_net_pins = 1` (which
+        // suppresses every pair).
         let cfg = Vm1Config::closedm1();
         let mut broken = cfg.clone();
-        broken.gamma = 0;
+        broken.max_net_pins = 1;
         let d = setup(CellArch::ClosedM1, 250, 3);
         let honest = recount_alignments(&d, &cfg);
         let suppressed = calculate_obj(&d, &broken).alignments;

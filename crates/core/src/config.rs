@@ -1,6 +1,5 @@
 use std::num::NonZeroUsize;
 use std::sync::Arc;
-use vm1_geom::Dbu;
 use vm1_netlist::NetId;
 
 /// One parameter set `u` of the paper's optimization sequence `U`:
@@ -42,8 +41,6 @@ pub enum SolverKind {
     /// The faithful MILP formulation solved by `vm1-milp` (the paper's
     /// CPLEX stand-in).
     Milp,
-    /// Greedy one-cell-at-a-time improvement (baseline/ablation).
-    Greedy,
 }
 
 /// Configuration of the vertical-M1 detailed placement optimization.
@@ -56,10 +53,6 @@ pub struct Vm1Config {
     pub beta: f64,
     /// Weight per nm of pin overlap beyond δ (the paper's ε; OpenM1 only).
     pub epsilon: f64,
-    /// Maximum dM1 span in rows (γ; the paper uses 3).
-    pub gamma: i64,
-    /// Minimum required overlap for OpenM1 (δ).
-    pub delta: Dbu,
     /// Convergence threshold θ of Algorithm 1 (relative objective
     /// improvement; the paper uses 1 %).
     pub theta: f64,
@@ -98,8 +91,8 @@ pub struct Vm1Config {
     /// optimality certificate for every window solve and verify it with
     /// the exact-arithmetic checker (`vm1-certify`) before committing the
     /// assignment. Rejected solves fall back to the input placement and
-    /// are counted under `cert_rejected`. No effect on the DFS/greedy
-    /// engines (see DESIGN.md §9).
+    /// are counted under `cert_rejected`. No effect on the DFS
+    /// engine (see DESIGN.md §9).
     pub certify: bool,
 }
 
@@ -111,8 +104,6 @@ impl Vm1Config {
             alpha: 1200.0,
             beta: 1.0,
             epsilon: 0.0,
-            gamma: 3,
-            delta: Dbu(24),
             theta: 0.01,
             sequence: vec![ParamSet::new(5.0, 4, 1)],
             max_net_pins: 12,
@@ -206,7 +197,6 @@ mod tests {
         let c = Vm1Config::closedm1();
         assert_eq!(c.alpha, 1200.0);
         assert_eq!(c.beta, 1.0);
-        assert_eq!(c.gamma, 3);
         assert_eq!(c.theta, 0.01);
         let o = Vm1Config::openm1();
         assert_eq!(o.alpha, 1000.0);

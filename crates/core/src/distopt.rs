@@ -3,7 +3,7 @@
 //! The layout is partitioned into windows (shifted by `(tx, ty)`); the
 //! diagonal sets of [`crate::window::WindowGrid::diagonal_sets`] are
 //! processed one after another, and the windows *within* a set are solved
-//! in parallel by [`crate::sched::Round`] (their projections are
+//! in parallel by the scheduler's `Round` (their projections are
 //! disjoint, so window-local ΔHPWL is exact — Figure 4b).
 //! Windows holding more movable cells than `max_cells_per_milp` are
 //! solved in sequential batches with earlier batches fixed (the

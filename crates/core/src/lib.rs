@@ -22,7 +22,7 @@
 //!   branch-and-bound;
 //! * [`solver`] — interchangeable exact window solvers (MILP and a DFS
 //!   branch-and-bound exploiting that all auxiliary variables are
-//!   determined by the λ assignment) plus a greedy baseline;
+//!   determined by the λ assignment);
 //! * [`window`] — layout partitioning and diagonally independent window
 //!   selection (Fig. 3) for the distributable optimization;
 //! * [`distopt`] — Algorithm 2 (DistOpt), with windows of one diagonal set

@@ -53,7 +53,7 @@ pub fn overlap_stats(design: &Design, cfg: &Vm1Config) -> (usize, Dbu) {
     let mut count = 0usize;
     let mut overlap = Dbu::ZERO;
     for &(a, b, _) in &pairs.pairs {
-        if let Some(ov) = pair_aligned(design, cfg, a, b) {
+        if let Some(ov) = pair_aligned(design, a, b) {
             count += 1;
             overlap += ov;
         }

@@ -126,21 +126,22 @@ pub fn pin_layer(arch: CellArch) -> Layer {
 
 /// Tests whether pins `a` and `b` are vertically M1-connectable in the
 /// *current* placement: within γ rows, and x-aligned (ClosedM1) or
-/// overlapped by ≥ δ (OpenM1). Returns the overlap length beyond δ
+/// overlapped by ≥ δ (OpenM1), with γ and δ read from the design's
+/// `Technology` like the router's. Returns the overlap length beyond δ
 /// (`Dbu::ZERO` for ClosedM1) when connectable.
 #[must_use]
-pub fn pair_aligned(design: &Design, cfg: &Vm1Config, a: PinRef, b: PinRef) -> Option<Dbu> {
+pub fn pair_aligned(design: &Design, a: PinRef, b: PinRef) -> Option<Dbu> {
     let tech = design.library().tech();
     let pa = design.pin_position(a);
     let pb = design.pin_position(b);
-    if (pa.y - pb.y).abs() > tech.row_height * cfg.gamma {
+    if (pa.y - pb.y).abs() > tech.gamma_span() {
         return None;
     }
     match design.library().arch() {
         CellArch::ClosedM1 => (pa.x == pb.x).then_some(Dbu::ZERO),
         CellArch::OpenM1 => {
             let ov = design.pin_x_range(a).overlap_len(design.pin_x_range(b));
-            (ov >= cfg.delta).then(|| ov - cfg.delta)
+            (ov >= tech.delta).then(|| ov - tech.delta)
         }
         CellArch::Conv12T => None,
     }
@@ -198,7 +199,6 @@ mod tests {
         let n = d.add_net("n");
         d.connect(a, "ZN", n);
         d.connect(b, "A", n);
-        let cfg = Vm1Config::closedm1();
         // ZN at cell col 2, A at cell col 1: site_b = site_a + 1 aligns.
         d.move_inst(a, 5, 0, Orient::North);
         d.move_inst(b, 6, 1, Orient::North);
@@ -210,16 +210,16 @@ mod tests {
             inst: b,
             pin: d.library().cell(inv).pin_index("A").unwrap(),
         };
-        assert_eq!(pair_aligned(&d, &cfg, zn, pa), Some(Dbu(0)));
+        assert_eq!(pair_aligned(&d, zn, pa), Some(Dbu(0)));
         // Misaligned by one site.
         d.move_inst(b, 7, 1, Orient::North);
-        assert_eq!(pair_aligned(&d, &cfg, zn, pa), None);
+        assert_eq!(pair_aligned(&d, zn, pa), None);
         // Aligned again via flip: flipped A lands at width-72 => col 2.
         d.move_inst(b, 5, 1, Orient::FlippedNorth);
-        assert_eq!(pair_aligned(&d, &cfg, zn, pa), Some(Dbu(0)));
+        assert_eq!(pair_aligned(&d, zn, pa), Some(Dbu(0)));
         // Too far vertically (γ = 3).
         d.move_inst(b, 6, 4, Orient::North);
-        assert_eq!(pair_aligned(&d, &cfg, zn, pa), None);
+        assert_eq!(pair_aligned(&d, zn, pa), None);
     }
 
     #[test]
@@ -232,7 +232,6 @@ mod tests {
         let n = d.add_net("n");
         d.connect(a, "ZN", n);
         d.connect(b, "A", n);
-        let cfg = Vm1Config::openm1();
         let zn = PinRef {
             inst: a,
             pin: d.library().cell(inv).pin_index("ZN").unwrap(),
@@ -244,11 +243,11 @@ mod tests {
         // Overlapping placement: ZN spans cols [1,4) of a, A spans [0,2) of b.
         d.move_inst(a, 5, 0, Orient::North);
         d.move_inst(b, 7, 1, Orient::North);
-        let ov = pair_aligned(&d, &cfg, zn, pa).expect("overlap");
+        let ov = pair_aligned(&d, zn, pa).expect("overlap");
         assert!(ov >= Dbu(0));
         // Far apart horizontally: no overlap.
         d.move_inst(b, 20, 1, Orient::North);
-        assert_eq!(pair_aligned(&d, &cfg, zn, pa), None);
+        assert_eq!(pair_aligned(&d, zn, pa), None);
     }
 
     use vm1_netlist::Design;

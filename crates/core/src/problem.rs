@@ -6,8 +6,8 @@
 //! orient)` placements (the λ variables of constraints (5)–(8)), the fixed
 //! occupancy (constraint (9)), the touched nets with the bounding box of
 //! their non-movable pins (constraints (2)–(3)), and the eligible pin
-//! pairs (constraints (4) / (11)–(14)). Every solver — MILP, exact DFS,
-//! greedy — consumes this structure, which guarantees they optimize the
+//! pairs (constraints (4) / (11)–(14)). Both solvers — MILP and exact
+//! DFS — consume this structure, which guarantees they optimize the
 //! identical objective.
 
 use crate::pairs::PairIndex;
@@ -250,8 +250,8 @@ impl WindowProblem {
         let tech = design.library().tech();
         let arch = design.library().arch();
         let exact = arch.requires_exact_alignment();
-        let gamma_span = (tech.row_height * cfg.gamma).nm();
-        let delta = cfg.delta.nm();
+        let gamma_span = tech.gamma_span().nm();
+        let delta = tech.delta.nm();
 
         // Index of an instance in `movable`, if it is one; a batch holds
         // at most `max_cells_per_milp` cells, so a scan beats a map.

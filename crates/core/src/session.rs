@@ -283,7 +283,7 @@ impl Vm1Optimizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ParamSet, SolverKind};
+    use crate::ParamSet;
     use vm1_netlist::generator::{DesignProfile, GeneratorConfig};
     use vm1_place::{place, PlaceConfig};
     use vm1_tech::{CellArch, Library};
@@ -349,18 +349,6 @@ mod tests {
             report.counter(Counter::Iterations) as usize,
             stats.iterations
         );
-    }
-
-    #[test]
-    fn greedy_solver_variant_is_legal_but_weaker_or_equal() {
-        let mut d_exact = setup(CellArch::ClosedM1, 200, 5);
-        let mut d_greedy = d_exact.clone();
-        let cfg_e = crate::Vm1Config::closedm1().with_sequence(vec![ParamSet::new(3.0, 3, 1)]);
-        let cfg_g = cfg_e.clone().with_solver(SolverKind::Greedy);
-        let se = Vm1Optimizer::new(cfg_e).run(&mut d_exact);
-        let sg = Vm1Optimizer::new(cfg_g).run(&mut d_greedy);
-        d_greedy.validate_placement().unwrap();
-        assert!(se.final_obj <= sg.final_obj + 1e-6, "exact ≤ greedy");
     }
 }
 

@@ -1,6 +1,6 @@
-//! Window solvers: exact DFS branch-and-bound, faithful MILP, and greedy.
+//! Window solvers: exact DFS branch-and-bound and the faithful MILP.
 //!
-//! All three consume a [`WindowProblem`] and return a candidate assignment
+//! Both consume a [`WindowProblem`] and return a candidate assignment
 //! that is legal and no worse than the input placement. The DFS and MILP
 //! solvers find the same optimum (cross-checked in tests) unless their
 //! node budget `max_nodes` cuts the search short; a cut DFS solve returns
@@ -30,9 +30,8 @@ pub fn solve_window(prob: &WindowProblem, cfg: &Vm1Config) -> Vec<usize> {
 }
 
 /// [`solve_window`] with a metrics sink: records solver-engine counters
-/// ([`Counter::DfsNodes`], [`Counter::DfsBudgetExhausted`],
-/// [`Counter::GreedyPasses`], the MILP family) and the MILP build/solve
-/// stage timers.
+/// ([`Counter::DfsNodes`], [`Counter::DfsBudgetExhausted`], the MILP
+/// family) and the MILP build/solve stage timers.
 #[must_use]
 pub fn solve_window_with(
     prob: &WindowProblem,
@@ -52,11 +51,6 @@ pub fn solve_window_with(
             assign
         }
         SolverKind::Milp => milp_window_solve_with(prob, cfg, metrics),
-        SolverKind::Greedy => {
-            let (assign, passes) = greedy_solve_counted(prob, 4);
-            metrics.add(Counter::GreedyPasses, passes as u64);
-            assign
-        }
     };
     // Safety net: never return something worse or illegal.
     let cur = prob.current_assign();
@@ -267,9 +261,9 @@ fn weighted_hpwl(weight: f64, bb: Option<BBox>) -> f64 {
 /// Exact branch-and-bound over candidate assignments, cut short after
 /// `max_nodes` search nodes (it then returns the best assignment found).
 ///
-/// The cells of a batch fall into independent components (see
-/// [`components`]); each is searched on its own, and all of them share
-/// the one `max_nodes` budget.
+/// The cells of a batch fall into independent components (cells that
+/// share no net or pair and can never overlap); each is searched on its
+/// own, and all of them share the one `max_nodes` budget.
 #[must_use]
 pub fn dfs_solve(prob: &WindowProblem, max_nodes: usize) -> Vec<usize> {
     dfs_solve_counted(prob, max_nodes, true).0
@@ -707,51 +701,6 @@ fn local_score(st: &DfsState<'_>, cell: usize, k: usize) -> f64 {
     score
 }
 
-// ---------------------------------------------------------------------------
-// Greedy
-// ---------------------------------------------------------------------------
-
-/// Greedy coordinate descent: repeatedly give each cell its locally best
-/// candidate. Baseline/ablation engine.
-#[must_use]
-pub fn greedy_solve(prob: &WindowProblem, passes: usize) -> Vec<usize> {
-    greedy_solve_counted(prob, passes).0
-}
-
-/// [`greedy_solve`] also returning the number of passes executed.
-fn greedy_solve_counted(prob: &WindowProblem, passes: usize) -> (Vec<usize>, usize) {
-    let mut assign = prob.current_assign();
-    let mut executed = 0usize;
-    for _ in 0..passes {
-        executed += 1;
-        let mut improved = false;
-        for cell in 0..prob.cells.len() {
-            let mut best_k = assign[cell];
-            let mut best_v = prob.eval(&assign);
-            let orig = assign[cell];
-            for k in 0..prob.cells[cell].cands.len() {
-                if k == orig {
-                    continue;
-                }
-                assign[cell] = k;
-                if prob.is_legal(&assign) {
-                    let v = prob.eval(&assign);
-                    if v < best_v - 1e-9 {
-                        best_v = v;
-                        best_k = k;
-                    }
-                }
-            }
-            assign[cell] = best_k;
-            improved |= best_k != orig;
-        }
-        if !improved {
-            break;
-        }
-    }
-    (assign, executed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -882,26 +831,9 @@ mod tests {
     }
 
     #[test]
-    fn greedy_never_worse_than_input() {
-        let prob = problem(CellArch::ClosedM1, 5, 5);
-        let cur = prob.current_assign();
-        let greedy = greedy_solve(&prob, 4);
-        assert!(prob.is_legal(&greedy));
-        assert!(prob.eval(&greedy) <= prob.eval(&cur) + 1e-9);
-    }
-
-    #[test]
-    fn dfs_improves_or_equals_greedy() {
-        let prob = problem(CellArch::ClosedM1, 5, 6);
-        let dfs = dfs_solve(&prob, 1_000_000);
-        let greedy = greedy_solve(&prob, 4);
-        assert!(prob.eval(&dfs) <= prob.eval(&greedy) + 1e-9);
-    }
-
-    #[test]
     fn solve_window_dispatch_respects_safety_net() {
         let prob = problem(CellArch::ClosedM1, 5, 7);
-        for kind in [SolverKind::Dfs, SolverKind::Milp, SolverKind::Greedy] {
+        for kind in [SolverKind::Dfs, SolverKind::Milp] {
             let cfg = Vm1Config::closedm1().with_solver(kind);
             let a = solve_window(&prob, &cfg);
             assert!(prob.is_legal(&a), "{kind:?}");

@@ -2,16 +2,20 @@
 //! every batch of the golden pass of `golden_dfs.rs` (a 150-instance
 //! ClosedM1 Jpeg design) and of one pass over a 150-instance OpenM1 Aes
 //! design, each at the paper's `(5, 4, 1)` parameter set. The passes
-//! commit the unbudgeted DFS assignment of every batch.
+//! commit the unbudgeted DFS assignment of every batch. A property test
+//! adds random small windows of both architectures.
 
 mod common;
 
 use common::replay_pass;
-use vm1_core::problem::WindowProblem;
+use proptest::prelude::*;
+use vm1_core::problem::{Overrides, WindowProblem};
 use vm1_core::solver::{dfs_root_bound, dfs_solve, dfs_solve_unsplit};
+use vm1_core::window::Window;
 use vm1_core::Vm1Config;
-use vm1_netlist::generator::DesignProfile;
-use vm1_tech::CellArch;
+use vm1_netlist::generator::{DesignProfile, GeneratorConfig};
+use vm1_place::{place, PlaceConfig, RowMap};
+use vm1_tech::{CellArch, Library};
 
 /// Hands every batch of both passes to `check`, with the unbudgeted DFS
 /// assignment, and commits that assignment.
@@ -116,4 +120,67 @@ fn root_reach_bound_never_exceeds_the_optimum() {
         tighter += usize::from(bound > fixed + 1e-6);
     });
     assert!(tighter > 0, "the reach never tightens the root bound");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random windows of at most 5 cells, with or without flips: the
+    /// unbudgeted search finds the exhaustive optimum. Windows of more
+    /// than 10^6 candidate combinations are skipped to bound the
+    /// enumeration.
+    #[test]
+    fn random_small_window_dfs_equals_brute_force(
+        mode in 0usize..4,
+        n in 80usize..200,
+        seed in 0u64..1000,
+        w_sites in 12i64..40,
+        at in 0i64..10_000,
+        lx in 1i64..4,
+        ly in 0i64..2,
+        take in 1usize..6,
+    ) {
+        // Bit 0 picks the architecture, bit 1 turns flips on.
+        let (arch, cfg) = [
+            (CellArch::ClosedM1, Vm1Config::closedm1()),
+            (CellArch::OpenM1, Vm1Config::openm1()),
+        ][mode & 1]
+            .clone();
+        let lib = Library::synthetic_7nm(arch);
+        let mut d = GeneratorConfig::profile(DesignProfile::M0)
+            .with_insts(n)
+            .generate(&lib, seed);
+        place(&mut d, &PlaceConfig::default(), seed);
+        let w_sites = w_sites.min(d.sites_per_row);
+        let h_rows = d.num_rows.min(3);
+        let win = Window {
+            site0: at % (d.sites_per_row - w_sites + 1),
+            row0: at % (d.num_rows - h_rows + 1),
+            w_sites,
+            h_rows,
+        };
+        let rm = RowMap::build(&d);
+        let movable: Vec<_> = WindowProblem::movable_in_window(&d, &rm, &win, &Overrides::new())
+            .into_iter()
+            .take(take)
+            .collect();
+        prop_assume!(!movable.is_empty());
+        let prob = WindowProblem::build(
+            &d, &rm, win, &movable, lx, ly, mode & 2 != 0, &cfg, &Overrides::new(),
+        );
+        let leaves = prob
+            .cells
+            .iter()
+            .try_fold(1usize, |p, c| p.checked_mul(c.cands.len()));
+        prop_assume!(leaves.is_some_and(|l| l <= 1_000_000));
+        let assign = dfs_solve(&prob, usize::MAX);
+        prop_assert!(prob.is_legal(&assign));
+        let (got, expect) = (prob.eval(&assign), brute_force(&prob));
+        prop_assert!(
+            (got - expect).abs() <= 1e-6 * (1.0 + expect.abs()),
+            "dfs {} vs brute force {}",
+            got,
+            expect
+        );
+    }
 }

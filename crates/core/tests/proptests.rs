@@ -5,16 +5,15 @@
 //! * the window-local objective delta equals the global objective delta
 //!   for any in-window move (the Figure 4(b) decomposition property that
 //!   justifies parallel diagonal windows);
-//! * the exact solvers dominate the greedy one;
 //! * the audit layer's independent dM1 recount always agrees with the
 //!   objective, and optimization preserves audit cleanliness.
 
 use proptest::prelude::*;
 use vm1_core::problem::{Overrides, WindowProblem};
-use vm1_core::solver::{dfs_solve, greedy_solve, solve_window};
+use vm1_core::solver::solve_window;
 use vm1_core::window::Window;
 use vm1_core::{
-    audit_design, calculate_obj, recount_alignments, ParamSet, SolverKind, Vm1Config, Vm1Optimizer,
+    audit_design, calculate_obj, recount_alignments, ParamSet, Vm1Config, Vm1Optimizer,
 };
 use vm1_netlist::generator::{DesignProfile, GeneratorConfig};
 use vm1_netlist::Design;
@@ -68,12 +67,9 @@ proptest! {
         prop_assume!(!movable.is_empty());
         let prob = WindowProblem::build(&d, &rm, win, &movable, lx, ly, false, &cfg, &Overrides::new());
         let cur_obj = prob.eval(&prob.current_assign());
-        for kind in [SolverKind::Dfs, SolverKind::Greedy] {
-            let c = cfg.clone().with_solver(kind);
-            let assign = solve_window(&prob, &c);
-            prop_assert!(prob.is_legal(&assign), "{kind:?} legal");
-            prop_assert!(prob.eval(&assign) <= cur_obj + 1e-9, "{kind:?} no worse");
-        }
+        let assign = solve_window(&prob, &cfg);
+        prop_assert!(prob.is_legal(&assign));
+        prop_assert!(prob.eval(&assign) <= cur_obj + 1e-9);
     }
 
     #[test]
@@ -108,26 +104,6 @@ proptest! {
             g1 - g0,
             local_delta
         );
-    }
-
-    #[test]
-    fn dfs_dominates_greedy(
-        n in 100usize..220,
-        seed in 0u64..500,
-    ) {
-        let (d, cfg) = build(CellArch::ClosedM1, n, seed);
-        let rm = RowMap::build(&d);
-        let win = window_of(&d, 0.35);
-        let movable: Vec<_> =
-            WindowProblem::movable_in_window(&d, &rm, &win, &Overrides::new())
-                .into_iter()
-                .take(5)
-                .collect();
-        prop_assume!(!movable.is_empty());
-        let prob = WindowProblem::build(&d, &rm, win, &movable, 3, 1, false, &cfg, &Overrides::new());
-        let dfs = dfs_solve(&prob, 500_000);
-        let greedy = greedy_solve(&prob, 4);
-        prop_assert!(prob.eval(&dfs) <= prob.eval(&greedy) + 1e-9);
     }
 
     #[test]

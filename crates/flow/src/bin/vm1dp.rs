@@ -179,7 +179,6 @@ impl Opts {
                     o.solver = Some(match val("--solver").as_str() {
                         "dfs" => SolverKind::Dfs,
                         "milp" => SolverKind::Milp,
-                        "greedy" => SolverKind::Greedy,
                         other => usage(&format!("unknown solver {other}")),
                     });
                 }
@@ -209,7 +208,7 @@ fn usage(err: &str) -> ! {
     }
     eprintln!(
         "usage: vm1dp <gen|opt|report|audit> [--profile m0|aes|jpeg|vga] [--arch closedm1|openm1|conv12t]\n\
-         \x20            [--scale F] [--seed N] [--alpha F] [--solver dfs|milp|greedy]\n\
+         \x20            [--scale F] [--seed N] [--alpha F] [--solver dfs|milp]\n\
          \x20            [--threads N]\n\
          \x20            [-i FILE] [-o FILE] [--metrics-out FILE(.json|.csv)] [--audit]\n\
          \n\

@@ -1,9 +1,9 @@
 //! Drivers that regenerate every table and figure of the paper's §5.
 //!
-//! Each driver takes an [`ExperimentScale`]: `Smoke` for tests, `Reduced`
-//! (default) for laptop-scale runs that preserve the paper's qualitative
-//! shapes, and `Full` for the largest configuration (still below the
-//! paper's absolute design sizes; see DESIGN.md §5).
+//! Each driver takes an [`ExperimentScale`]: `Smoke` for tests and
+//! `Reduced` (default) for runs that preserve the paper's qualitative
+//! shapes at well below the paper's absolute design sizes (see DESIGN.md
+//! §5).
 
 use crate::{build_testcase, measure, optimize_and_measure, ExperimentRow, FlowConfig};
 use vm1_core::{ParamSet, Vm1Config};
@@ -16,10 +16,8 @@ use vm1_tech::CellArch;
 pub enum ExperimentScale {
     /// Tiny designs / short sweeps, for tests.
     Smoke,
-    /// Default: minutes on a laptop, same qualitative curves.
+    /// Default: same qualitative curves as the paper.
     Reduced,
-    /// Largest bundled configuration.
-    Full,
 }
 
 impl ExperimentScale {
@@ -27,7 +25,6 @@ impl ExperimentScale {
         match self {
             ExperimentScale::Smoke => 0.015,
             ExperimentScale::Reduced => 0.04,
-            ExperimentScale::Full => 0.1,
         }
     }
 }
@@ -58,11 +55,10 @@ pub fn expt_a1(scale: ExperimentScale) -> Vec<A1Row> {
     let windows: &[f64] = match scale {
         ExperimentScale::Smoke => &[2.0, 4.0],
         ExperimentScale::Reduced => &[1.5, 2.0, 3.0, 5.0, 8.0],
-        ExperimentScale::Full => &[2.0, 3.0, 5.0, 10.0, 16.0],
     };
     let ranges: &[(i64, i64)] = match scale {
         ExperimentScale::Smoke => &[(3, 1)],
-        _ => &[(2, 0), (2, 1), (3, 1), (4, 1), (5, 1)],
+        ExperimentScale::Reduced => &[(2, 0), (2, 1), (3, 1), (4, 1), (5, 1)],
     };
     let base =
         FlowConfig::new(DesignProfile::Aes, CellArch::ClosedM1).with_scale(scale.design_scale());
@@ -108,7 +104,7 @@ pub struct A2Row {
 pub fn expt_a2(scale: ExperimentScale, arch: CellArch) -> Vec<A2Row> {
     let alphas: &[f64] = match scale {
         ExperimentScale::Smoke => &[0.0, 1200.0],
-        _ => &[0.0, 150.0, 300.0, 600.0, 1200.0, 2400.0, 6000.0],
+        ExperimentScale::Reduced => &[0.0, 150.0, 300.0, 600.0, 1200.0, 2400.0, 6000.0],
     };
     let base = FlowConfig::new(DesignProfile::Aes, arch).with_scale(scale.design_scale());
     let mut rows = Vec::new();
@@ -182,7 +178,7 @@ pub fn expt_a3(scale: ExperimentScale) -> Vec<A3Row> {
         FlowConfig::new(DesignProfile::Aes, CellArch::ClosedM1).with_scale(scale.design_scale());
     let sequences = match scale {
         ExperimentScale::Smoke => paper_sequences().into_iter().take(2).collect::<Vec<_>>(),
-        _ => paper_sequences(),
+        ExperimentScale::Reduced => paper_sequences(),
     };
     let mut rows = Vec::new();
     for (id, label, seq) in sequences {
@@ -211,7 +207,7 @@ pub fn expt_a3(scale: ExperimentScale) -> Vec<A3Row> {
 pub fn expt_b(scale: ExperimentScale, arch: CellArch) -> Vec<ExperimentRow> {
     let profiles = match scale {
         ExperimentScale::Smoke => vec![DesignProfile::M0],
-        _ => DesignProfile::ALL.to_vec(),
+        ExperimentScale::Reduced => DesignProfile::ALL.to_vec(),
     };
     let mut rows = Vec::new();
     for profile in profiles {
@@ -246,7 +242,7 @@ pub struct Fig8Row {
 pub fn expt_fig8(scale: ExperimentScale) -> Vec<Fig8Row> {
     let utils: &[f64] = match scale {
         ExperimentScale::Smoke => &[0.82],
-        _ => &[0.80, 0.81, 0.82, 0.83, 0.84],
+        ExperimentScale::Reduced => &[0.80, 0.81, 0.82, 0.83, 0.84],
     };
     let mut rows = Vec::new();
     for &util in utils {
@@ -349,7 +345,7 @@ pub struct TimingDrivenRow {
 pub fn expt_timing_driven(scale: ExperimentScale) -> Vec<TimingDrivenRow> {
     let boosts: &[f64] = match scale {
         ExperimentScale::Smoke => &[0.0, 4.0],
-        _ => &[0.0, 2.0, 4.0, 8.0],
+        ExperimentScale::Reduced => &[0.0, 2.0, 4.0, 8.0],
     };
     let fc =
         FlowConfig::new(DesignProfile::Aes, CellArch::ClosedM1).with_scale(scale.design_scale());

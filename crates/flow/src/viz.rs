@@ -40,7 +40,7 @@ pub fn render_placement(design: &Design, cfg: &Vm1Config, max_width: usize) -> S
     let tech = design.library().tech();
     let mut aligned_cols: Vec<Vec<bool>> = vec![vec![false; sites]; rows];
     for &(a, b, _) in &alignable_pairs(design, cfg).pairs {
-        if let Some(_ov) = vm1_core::pair_aligned(design, cfg, a, b) {
+        if let Some(_ov) = vm1_core::pair_aligned(design, a, b) {
             let pa = design.pin_position(a);
             let pb = design.pin_position(b);
             let col = tech

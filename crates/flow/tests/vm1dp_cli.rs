@@ -2,7 +2,7 @@
 //! anything is optimized, an out-of-range core exits 1 before anything
 //! is allocated for it, and a closed standard output neither panics nor
 //! stops the command from writing its files. `vm1dp audit` exits 0 on a
-//! legal design and 3 on an overlapping one.
+//! legal design and 3 on an overlapping one. A usage error exits 2.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -166,4 +166,23 @@ fn audit_of_an_overlapping_placement_exits_3() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(3), "stdout: {stdout}");
     assert!(!stdout.contains("audit clean"), "stdout: {stdout}");
+}
+
+#[test]
+fn usage_errors_exit_2() {
+    for (args, error) in [
+        (&["opt", "--solver", "greedy"][..], "unknown solver greedy"),
+        (&["opt", "--threads", "0"], "--threads must be positive"),
+        (&["gen", "--scale", "x"], "bad --scale"),
+        (&["frobnicate"], "unknown subcommand frobnicate"),
+    ] {
+        let out = vm1dp().args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.lines().any(|l| l == format!("error: {error}")),
+            "{args:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
 }

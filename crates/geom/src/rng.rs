@@ -89,13 +89,6 @@ impl SplitMix64 {
             slice.swap(i, j);
         }
     }
-
-    /// Derives an independent child generator; used to give each design /
-    /// experiment its own stream while keeping one top-level seed.
-    #[must_use]
-    pub fn fork(&mut self) -> SplitMix64 {
-        SplitMix64::new(self.next_u64())
-    }
 }
 
 #[cfg(test)]
@@ -157,14 +150,6 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn fork_produces_independent_streams() {
-        let mut g = SplitMix64::new(9);
-        let mut c1 = g.fork();
-        let mut c2 = g.fork();
-        assert_ne!(c1.next_u64(), c2.next_u64());
     }
 
     #[test]

@@ -80,8 +80,6 @@ pub enum Counter {
     /// such a solve returns its best assignment so far, which need not
     /// be optimal.
     DfsBudgetExhausted,
-    /// Improvement passes executed by the greedy window solver.
-    GreedyPasses,
     /// Windows visited that contained at least one movable cell.
     WindowsVisited,
     /// Windows whose solve produced at least one cell move or flip.
@@ -132,7 +130,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in discriminant order.
-    pub const ALL: [Counter; 30] = [
+    pub const ALL: [Counter; 29] = [
         Counter::BbNodes,
         Counter::BbNodesPruned,
         Counter::LpSolves,
@@ -143,7 +141,6 @@ impl Counter {
         Counter::MilpLimitHit,
         Counter::DfsNodes,
         Counter::DfsBudgetExhausted,
-        Counter::GreedyPasses,
         Counter::WindowsVisited,
         Counter::WindowsImproved,
         Counter::BatchesSolved,
@@ -179,7 +176,6 @@ impl Counter {
             Counter::MilpLimitHit => "milp_limit_hit",
             Counter::DfsNodes => "dfs_nodes",
             Counter::DfsBudgetExhausted => "dfs_budget_exhausted",
-            Counter::GreedyPasses => "greedy_passes",
             Counter::WindowsVisited => "windows_visited",
             Counter::WindowsImproved => "windows_improved",
             Counter::BatchesSolved => "batches_solved",

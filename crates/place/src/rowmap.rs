@@ -157,19 +157,6 @@ impl RowMap {
         let fresh = RowMap::build(design);
         self.sites_per_row == fresh.sites_per_row && self.rows == fresh.rows
     }
-
-    /// Number of rows indexed.
-    #[must_use]
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Free-site count of a row.
-    #[must_use]
-    pub fn free_sites(&self, row: i64) -> i64 {
-        let used: i64 = self.rows[row as usize].iter().map(|&(s, e, _)| e - s).sum();
-        self.sites_per_row - used
-    }
 }
 
 #[cfg(test)]
@@ -224,8 +211,6 @@ mod tests {
         m.relocate(InstId(0), 0, 1, 5, 9);
         assert!(m.is_free(0, 0, 4, None));
         assert!(!m.is_free(1, 5, 9, None));
-        assert_eq!(m.free_sites(0), 36);
-        assert_eq!(m.free_sites(1), 36);
     }
 
     #[test]

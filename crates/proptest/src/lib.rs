@@ -194,7 +194,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::Range;
 
-    /// Number of elements a [`vec`] strategy generates: fixed or ranged.
+    /// Number of elements a [`vec()`] strategy generates: fixed or ranged.
     #[derive(Clone, Copy, Debug)]
     pub struct SizeRange {
         lo: usize,

@@ -208,21 +208,6 @@ impl MacroCell {
         self.pins.iter().filter(|p| p.dir != PinDir::Power)
     }
 
-    /// The output pin.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cell has no output pin (never happens for generated
-    /// libraries).
-    #[must_use]
-    #[expect(clippy::expect_used, reason = "documented # Panics contract")]
-    pub fn output_pin(&self) -> &MacroPin {
-        self.pins
-            .iter()
-            .find(|p| p.dir == PinDir::Out)
-            .expect("cell has an output pin")
-    }
-
     /// Looks up a pin by name.
     #[must_use]
     pub fn pin(&self, name: &str) -> Option<&MacroPin> {
@@ -325,7 +310,6 @@ mod tests {
         let c = test_cell();
         let names: Vec<_> = c.signal_pins().map(|p| p.name.as_str()).collect();
         assert_eq!(names, vec!["A", "B", "ZN"]);
-        assert_eq!(c.output_pin().name, "ZN");
     }
 
     #[test]

@@ -40,7 +40,6 @@
 mod arch;
 mod cell;
 mod layer;
-pub mod lef;
 mod library;
 mod technology;
 

@@ -91,17 +91,6 @@ impl Library {
         &self.cells[index]
     }
 
-    /// Indices of combinational cells with exactly `n` signal inputs.
-    #[must_use]
-    pub fn combinational_with_inputs(&self, n: usize) -> Vec<usize> {
-        self.cells
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| !c.function.is_sequential() && c.function.num_inputs() == n)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Indices of sequential cells.
     #[must_use]
     pub fn sequential(&self) -> Vec<usize> {
@@ -429,11 +418,6 @@ mod tests {
         let lib = Library::synthetic_7nm(CellArch::ClosedM1);
         assert!(lib.cell_by_name("NAND2_X1").is_some());
         assert!(lib.cell_by_name("missing").is_none());
-        let two_in = lib.combinational_with_inputs(2);
-        assert!(two_in.len() >= 6);
-        for i in two_in {
-            assert_eq!(lib.cell(i).function.num_inputs(), 2);
-        }
         assert_eq!(lib.sequential().len(), 1);
     }
 

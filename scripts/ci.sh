@@ -17,6 +17,11 @@ echo "== cargo clippy (deny warnings; carries determinism rules D1-D5) =="
 # waiver is a reasoned #[expect] that must still suppress something.
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc (deny warnings) =="
+# Broken, ambiguous or private intra-doc links fail here, including
+# links left dangling by a deleted item.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== cargo build --release =="
 cargo build --release
 
