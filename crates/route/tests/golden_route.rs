@@ -107,11 +107,11 @@ fn check(d: &Design, geometry: u64, dm1: usize, stats: RouteStats) {
 fn closedm1_flow_design() {
     check(
         &flow_like(CellArch::ClosedM1),
-        8_714_831_318_728_454_823,
+        18_027_711_070_965_744_663,
         9,
         RouteStats {
-            searches: 351,
-            heap_pops: 292_743,
+            searches: 356,
+            heap_pops: 74_776,
             bbox_widenings: 0,
         },
     );
@@ -121,11 +121,11 @@ fn closedm1_flow_design() {
 fn openm1_flow_design() {
     check(
         &flow_like(CellArch::OpenM1),
-        5_279_500_281_329_538_615,
-        16,
+        16_174_380_415_893_256_568,
+        14,
         RouteStats {
-            searches: 354,
-            heap_pops: 533_078,
+            searches: 345,
+            heap_pops: 161_633,
             bbox_widenings: 2,
         },
     );
@@ -135,11 +135,11 @@ fn openm1_flow_design() {
 fn conv12t_flow_design() {
     check(
         &flow_like(CellArch::Conv12T),
-        6_914_301_915_667_421_630,
+        2_582_731_213_037_418_139,
         0,
         RouteStats {
-            searches: 358,
-            heap_pops: 587_967,
+            searches: 356,
+            heap_pops: 191_445,
             bbox_widenings: 0,
         },
     );
@@ -149,11 +149,11 @@ fn conv12t_flow_design() {
 fn congested_aes_with_rip_up() {
     check(
         &congested_aes(),
-        2_455_115_387_957_566_644,
-        9,
+        7_611_709_626_034_670_278,
+        8,
         RouteStats {
-            searches: 1_112,
-            heap_pops: 2_781_857,
+            searches: 1_181,
+            heap_pops: 1_815_035,
             bbox_widenings: 0,
         },
     );
