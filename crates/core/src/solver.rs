@@ -736,44 +736,6 @@ mod tests {
         WindowProblem::build(&d, &rm, win, &movable, 2, 1, false, &cfg, &Overrides::new())
     }
 
-    /// Exhaustive optimum by enumerating all legal assignments.
-    fn brute_force(prob: &WindowProblem) -> f64 {
-        fn rec(prob: &WindowProblem, assign: &mut Vec<usize>, cell: usize, best: &mut f64) {
-            if cell == prob.cells.len() {
-                if prob.is_legal(assign) {
-                    *best = best.min(prob.eval(assign));
-                }
-                return;
-            }
-            for k in 0..prob.cells[cell].cands.len() {
-                assign[cell] = k;
-                rec(prob, assign, cell + 1, best);
-            }
-        }
-        let mut best = f64::INFINITY;
-        let mut assign = prob.current_assign();
-        rec(prob, &mut assign, 0, &mut best);
-        best
-    }
-
-    #[test]
-    fn dfs_matches_brute_force() {
-        for seed in [1, 2, 3] {
-            let prob = problem(CellArch::ClosedM1, 3, seed);
-            if prob.cells.len() < 2 {
-                continue;
-            }
-            let expect = brute_force(&prob);
-            let got = dfs_solve(&prob, 1_000_000);
-            assert!(prob.is_legal(&got));
-            assert!(
-                (prob.eval(&got) - expect).abs() < 1e-6,
-                "seed {seed}: dfs {} vs brute {expect}",
-                prob.eval(&got)
-            );
-        }
-    }
-
     #[test]
     fn milp_matches_dfs() {
         for arch in [CellArch::ClosedM1, CellArch::OpenM1] {
