@@ -10,7 +10,8 @@
 //! ```
 //!
 //! `--metrics-out` exports the run's telemetry (solver counters, stage
-//! wall times, objective trajectory); the format follows the file
+//! wall times, objective trajectory; for `report`, the route and analysis
+//! stage times and the route counters); the format follows the file
 //! extension (`.csv` → CSV, anything else → JSON).
 //!
 //! `audit` (or `--audit` on `gen`/`opt`, applied to the result) checks
@@ -45,12 +46,13 @@ use std::process::exit;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use vm1_core::{SolverKind, Vm1Config, Vm1Optimizer};
+use vm1_flow::route_with;
 use vm1_netlist::generator::{DesignProfile, GeneratorConfig};
 use vm1_netlist::io::{read_def, write_def};
 use vm1_netlist::Design;
-use vm1_obs::{Counter, MetricsHandle, Telemetry};
+use vm1_obs::{Counter, MetricsHandle, Stage, Telemetry};
 use vm1_place::{greedy_refine, place, PlaceConfig};
-use vm1_route::{route, RouterConfig};
+use vm1_route::RouterConfig;
 use vm1_tech::{CellArch, Library};
 use vm1_timing::{analyze, min_clock_period, power};
 
@@ -440,16 +442,22 @@ fn cmd_opt(opts: &Opts) {
     }
 }
 
+/// Routes and times the design and prints the summary. `--metrics-out`
+/// gets the route and analysis stage times and the route counters.
 fn cmd_report(opts: &Opts) {
     let design = load(opts);
-    let r = route(&design, &RouterConfig::default());
+    let sink = Arc::new(Telemetry::new());
+    let metrics = MetricsHandle::of(sink.clone());
+    let r = route_with(&design, &RouterConfig::default(), &metrics);
     let timing_error = |e: vm1_timing::TimingError| -> ! {
         eprintln!("error: cannot time {}: {e}", design.name());
         exit(1);
     };
-    let clock = min_clock_period(&design, Some(&r)).unwrap_or_else(|e| timing_error(e)) * 1.02;
-    let t = analyze(&design, Some(&r), clock).unwrap_or_else(|e| timing_error(e));
-    let p = power(&design, Some(&r), clock);
+    let (clock, t, p) = metrics.timed(Stage::Analysis, || {
+        let clock = min_clock_period(&design, Some(&r)).unwrap_or_else(|e| timing_error(e)) * 1.02;
+        let t = analyze(&design, Some(&r), clock).unwrap_or_else(|e| timing_error(e));
+        (clock, t, power(&design, Some(&r), clock))
+    });
     outln!(
         "design    : {} ({} insts, {} nets)",
         design.name(),
@@ -465,4 +473,5 @@ fn cmd_report(opts: &Opts) {
     outln!("clock     : {clock:.1} ps (calibrated)");
     outln!("WNS       : {:.3} ns", t.wns_ns_paper());
     outln!("power     : {:.3} mW", p.total_mw());
+    write_metrics_out(&sink.report(), opts);
 }

@@ -116,9 +116,21 @@ pub fn measure(tc: &Testcase, vm1_cfg: &Vm1Config) -> (Snapshot, RouteResult) {
     measure_with(tc, vm1_cfg, &MetricsHandle::disabled())
 }
 
-/// [`measure`] with a metrics sink: the routing pass is charged to
-/// [`Stage::Route`] and its search effort to the `Route*` counters, and
-/// the STA/power analysis to [`Stage::Analysis`].
+/// Routes the design, charging the pass to [`Stage::Route`] and its
+/// search effort, overflow and unrouted subnets to the `Route*` counters.
+#[must_use]
+pub fn route_with(design: &Design, router: &RouterConfig, metrics: &MetricsHandle) -> RouteResult {
+    let r = metrics.timed(Stage::Route, || route(design, router));
+    metrics.add(Counter::RouteSearches, r.stats.searches);
+    metrics.add(Counter::RouteHeapPops, r.stats.heap_pops);
+    metrics.add(Counter::RouteBboxWidenings, r.stats.bbox_widenings);
+    metrics.add(Counter::RouteOverflow, r.metrics.overflow() as u64);
+    metrics.add(Counter::RouteUnrouted, r.metrics.unrouted as u64);
+    r
+}
+
+/// [`measure`] with a metrics sink: the routing pass is charged as in
+/// [`route_with`], the STA/power analysis to [`Stage::Analysis`].
 ///
 /// # Panics
 ///
@@ -130,10 +142,7 @@ pub fn measure_with(
     vm1_cfg: &Vm1Config,
     metrics: &MetricsHandle,
 ) -> (Snapshot, RouteResult) {
-    let r = metrics.timed(Stage::Route, || route(&tc.design, &tc.router));
-    metrics.add(Counter::RouteSearches, r.stats.searches);
-    metrics.add(Counter::RouteHeapPops, r.stats.heap_pops);
-    metrics.add(Counter::RouteBboxWidenings, r.stats.bbox_widenings);
+    let r = route_with(&tc.design, &tc.router, metrics);
     let (timing, p) = metrics.timed(Stage::Analysis, || {
         let timing = analyze(&tc.design, Some(&r), tc.clock_ps).expect("acyclic netlist");
         let p = power(&tc.design, Some(&r), tc.clock_ps);

@@ -41,6 +41,8 @@ mod report;
 mod timing_driven;
 pub mod viz;
 
-pub use flow::{build_testcase, measure, measure_with, optimize_and_measure, FlowConfig, Testcase};
+pub use flow::{
+    build_testcase, measure, measure_with, optimize_and_measure, route_with, FlowConfig, Testcase,
+};
 pub use report::{format_metrics_summary, format_table2, ExperimentRow, Snapshot};
 pub use timing_driven::{net_criticality_weights, with_timing_driven_weights};

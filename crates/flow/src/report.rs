@@ -97,7 +97,7 @@ impl ExperimentRow {
     #[must_use]
     pub fn table_line(&self) -> String {
         format!(
-            "{:<10} {:>6} {:>4.0}% {:>6.0} | dM1 {:>6} -> {:>6} ({:>6.1}x) | M1WL {:>9} -> {:>9} | via12 {:>6} -> {:>6} ({:>+6.1}%) | HPWL(um) {:>9.1} -> {:>9.1} ({:>+5.1}%) | RWL(um) {:>9.1} -> {:>9.1} ({:>+5.1}%) | WNS {:>6.3} -> {:>6.3} | P(mW) {:>7.3} -> {:>7.3} | {:>7} ms",
+            "{:<10} {:>6} {:>4.0}% {:>6.0} | dM1 {:>6} -> {:>6} ({:>6.1}x) | M1WL {:>9} -> {:>9} | via12 {:>6} -> {:>6} ({:>+6.1}%) | HPWL(um) {:>9.1} -> {:>9.1} ({:>+5.1}%) | RWL(um) {:>9.1} -> {:>9.1} ({:>+5.1}%) | DRV {:>7} -> {:>7} | WNS {:>6.3} -> {:>6.3} | P(mW) {:>7.3} -> {:>7.3} | {:>7} ms",
             self.design,
             self.insts,
             self.util * 100.0,
@@ -116,6 +116,8 @@ impl ExperimentRow {
             self.init.rwl.to_um(),
             self.fin.rwl.to_um(),
             self.rwl_delta_pct(),
+            self.init.drvs,
+            self.fin.drvs,
             self.init.wns_ns,
             self.fin.wns_ns,
             self.init.power_mw,
@@ -182,7 +184,7 @@ pub fn format_table2(title: &str, rows: &[ExperimentRow]) -> String {
     let mut out = String::new();
     out.push_str(&format!("== {title} ==\n"));
     out.push_str(
-        "design      #Inst util  alpha |  #dM1 Init -> Final  | M1 WL (nm)            | #via12              | HPWL               | RWL                 | WNS (ns)        | Power            | runtime\n",
+        "design      #Inst util  alpha |  #dM1 Init -> Final  | M1 WL (nm)            | #via12              | HPWL               | RWL                 | #DRV Init -> Final  | WNS (ns)        | Power            | runtime\n",
     );
     for r in rows {
         out.push_str(&r.table_line());
@@ -248,10 +250,14 @@ mod tests {
 
     #[test]
     fn table_formatting_contains_key_fields() {
-        let text = format_table2("ClosedM1-based designs", &[row()]);
+        let mut r = row();
+        (r.init.drvs, r.fin.drvs) = (108_642, 107_797);
+        let text = format_table2("ClosedM1-based designs", &[r]);
         assert!(text.contains("aes_like"));
         assert!(text.contains("ClosedM1-based designs"));
         assert!(text.contains("4.5x"));
+        assert!(text.contains("#DRV Init -> Final"));
+        assert!(text.contains("DRV  108642 ->  107797"));
     }
 
     #[test]

@@ -126,11 +126,16 @@ pub enum Counter {
     /// Maze searches retried with a wider box (×4, then the whole grid)
     /// after failing in the smaller one.
     RouteBboxWidenings,
+    /// Edge usage beyond capacity left by the router: its DRVs less the
+    /// charge for unrouted subnets.
+    RouteOverflow,
+    /// Subnets the router left unrouted.
+    RouteUnrouted,
 }
 
 impl Counter {
     /// Every counter, in discriminant order.
-    pub const ALL: [Counter; 29] = [
+    pub const ALL: [Counter; 31] = [
         Counter::BbNodes,
         Counter::BbNodesPruned,
         Counter::LpSolves,
@@ -160,6 +165,8 @@ impl Counter {
         Counter::RouteSearches,
         Counter::RouteHeapPops,
         Counter::RouteBboxWidenings,
+        Counter::RouteOverflow,
+        Counter::RouteUnrouted,
     ];
 
     /// Stable snake_case name used as the JSON/CSV key.
@@ -195,6 +202,8 @@ impl Counter {
             Counter::RouteSearches => "route_searches",
             Counter::RouteHeapPops => "route_heap_pops",
             Counter::RouteBboxWidenings => "route_bbox_widenings",
+            Counter::RouteOverflow => "route_overflow",
+            Counter::RouteUnrouted => "route_unrouted",
         }
     }
 }

@@ -111,7 +111,17 @@ impl RouteMetrics {
     pub fn via12(&self) -> usize {
         self.vias[1]
     }
+
+    /// Total edge overflow: the DRVs less the charge for unrouted
+    /// subnets.
+    #[must_use]
+    pub fn overflow(&self) -> usize {
+        self.drvs - UNROUTED_DRVS * self.unrouted
+    }
 }
+
+/// DRVs charged per unrouted subnet.
+const UNROUTED_DRVS: usize = 5;
 
 /// Search effort of one routing run. Like the metrics, these counts are
 /// deterministic for a given design and configuration.
@@ -199,7 +209,7 @@ pub fn route(design: &Design, cfg: &RouterConfig) -> RouteResult {
             metrics.unrouted += 1;
         }
     }
-    metrics.drvs = grid.total_overflow() + 5 * metrics.unrouted;
+    metrics.drvs = grid.total_overflow() + UNROUTED_DRVS * metrics.unrouted;
     RouteResult {
         nets: routes,
         metrics,

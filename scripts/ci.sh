@@ -31,8 +31,11 @@ cargo test -q
 echo "== router exactness tests in release =="
 # The test profile traps integer overflow, the release profile wraps. The
 # maze router packs its heap keys through a checked conversion and reruns
-# a search on wide keys when one does not fit; its unit and golden-route
-# tests must also pass in the build that ships.
+# a search on wide keys when one does not fit, and its A* bound adds a via
+# term to the wire length. Its unit tests (among them the exhaustive
+# consistency check of the bound and the differential test against a
+# plain Dijkstra) and its golden-route tests must also pass in the build
+# that ships.
 cargo test --release -q -p vm1-route
 
 echo "== DFS exactness tests in release =="
@@ -58,7 +61,7 @@ cargo run --release -q -p vm1-flow --bin vm1dp -- \
 cargo run --release -q -p vm1-flow --bin vm1dp -- \
     audit -i "$smoke_dir/smoke_opt.def"
 
-echo "== determinism: vm1dp opt bit-identical across thread counts =="
+echo "== determinism: vm1dp opt across thread counts, vm1dp report across runs =="
 # The scheduler contract: placements and every telemetry counter are
 # invariant under --threads; only stage times and the scheduler gauges
 # may differ. Diff the DEFs and counter sections of 1-, 2- and 8-thread
@@ -88,6 +91,16 @@ thread_diff() {
 }
 thread_diff det "$smoke_dir/det.def"
 thread_diff det_milp "$smoke_dir/micro.def" --solver milp
+# The router runs on one thread, so its determinism is checked by
+# repetition: two `report` runs on the same design must write the same
+# route counters (searches, heap pops, box widenings, overflow,
+# unrouted subnets), which pin the A* pop order in the release build.
+for run in 1 2; do
+    cargo run --release -q -p vm1-flow --bin vm1dp -- \
+        report -i "$smoke_dir/det.def" --metrics-out "$smoke_dir/report_$run.csv" > /dev/null
+done
+grep -q '^route_heap_pops,[1-9]' "$smoke_dir/report_1.csv"
+diff <(counters "$smoke_dir/report_1.csv") <(counters "$smoke_dir/report_2.csv")
 echo "determinism OK"
 
 echo "== certify: proof-carrying MILP solves on a generated micro design =="
