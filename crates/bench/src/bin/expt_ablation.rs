@@ -19,6 +19,5 @@ fn main() {
         );
     }
     println!();
-    println!("# expectation: dM1 ≈ 0 whenever the router is unaware; alignment-optimized");
-    println!("# placement only pays off in RWL/vias when the router exploits it.");
+    println!("# the aligning placer raises #dM1 and cuts RWL/#via12; router awareness barely moves either.");
 }

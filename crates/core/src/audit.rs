@@ -28,7 +28,7 @@ use crate::objective::calculate_obj;
 use crate::Vm1Config;
 use vm1_netlist::{Design, NetPin};
 use vm1_obs::{Counter, MetricsHandle, Stage};
-use vm1_place::verify::{verify_with, DisplacementBounds, PlacementSnapshot, VerifyReport};
+use vm1_place::verify::{verify_placement, DisplacementBounds, PlacementSnapshot, VerifyReport};
 use vm1_tech::{CellArch, Layer};
 
 /// Result of a whole-design audit.
@@ -73,20 +73,14 @@ impl DesignAuditReport {
 }
 
 /// Audits `design`: placement invariants plus the dM1 cross-check.
-/// Equivalent to [`audit_design_with`] with a disabled metrics handle.
-pub fn audit_design(design: &Design, cfg: &Vm1Config) -> DesignAuditReport {
-    audit_design_with(design, cfg, &MetricsHandle::disabled())
-}
-
-/// [`audit_design`] with metrics: wall-clock goes to
-/// [`Stage::Audit`]; a dM1 mismatch counts as one
+/// Wall-clock goes to [`Stage::Audit`]; a dM1 mismatch counts as one
 /// [`Counter::AuditErrors`].
-pub fn audit_design_with(
+pub fn audit_design(
     design: &Design,
     cfg: &Vm1Config,
     metrics: &MetricsHandle,
 ) -> DesignAuditReport {
-    let placement = verify_with(design, None, None, metrics);
+    let placement = verify_placement(design, None, None, metrics);
     let (recounted, reported) = metrics.timed(Stage::Audit, || {
         (
             recount_alignments(design, cfg),
@@ -198,7 +192,7 @@ pub fn debug_checkpoint(
     context: &str,
 ) {
     if cfg!(debug_assertions) {
-        let r = verify_with(design, Some(snapshot), bounds, metrics);
+        let r = verify_placement(design, Some(snapshot), bounds, metrics);
         assert!(
             r.is_clean(),
             "placement checkpoint failed {context}:\n{}",
@@ -261,7 +255,7 @@ mod tests {
     fn legal_design_audits_clean() {
         let cfg = Vm1Config::closedm1();
         let d = setup(CellArch::ClosedM1, 200, 2);
-        let r = audit_design(&d, &cfg);
+        let r = audit_design(&d, &cfg, &MetricsHandle::disabled());
         assert!(r.is_clean(), "{}", r.summary());
     }
 
@@ -290,7 +284,7 @@ mod tests {
         let mut d = setup(CellArch::ClosedM1, 150, 4);
         let orient = d.inst(InstId(0)).orient;
         d.move_inst(InstId(0), -5, 0, orient);
-        let r = audit_design(&d, &cfg);
+        let r = audit_design(&d, &cfg, &MetricsHandle::disabled());
         assert!(!r.is_clean());
         assert!(!r.placement.is_clean());
     }
@@ -303,7 +297,7 @@ mod tests {
         let d = setup(CellArch::ClosedM1, 150, 5);
         let sink = Arc::new(Telemetry::new());
         let metrics = MetricsHandle::of(sink.clone());
-        let r = audit_design_with(&d, &cfg, &metrics);
+        let r = audit_design(&d, &cfg, &metrics);
         assert!(r.is_clean(), "{}", r.summary());
         let report = sink.report();
         assert!(report.counter(Counter::AuditPlacementChecks) > 0);

@@ -19,16 +19,16 @@
 use crate::pairs::PairIndex;
 use crate::problem::{Candidate, Overrides, SolveScratch, WindowProblem};
 use crate::sched::Round;
-use crate::solver::solve_window_with;
+use crate::solver::solve_window;
 use crate::window::{Window, WindowGrid};
 use crate::Vm1Config;
 use vm1_netlist::{Design, InstId};
-use vm1_obs::{Counter, MetricsHandle, MetricsReport, SchedGauge, Stage};
+use vm1_obs::{Counter, MetricsHandle, SchedGauge, Stage};
 use vm1_place::{RowMap, SpanMove};
 
 /// Parameters of one `DistOpt` call (Algorithm 2's arguments).
 #[derive(Clone, Copy, Debug)]
-pub struct DistOptParams {
+pub(crate) struct DistOptParams {
     /// Window-grid x shift, in sites.
     pub tx: i64,
     /// Window-grid y shift, in rows.
@@ -45,34 +45,8 @@ pub struct DistOptParams {
     pub flip: bool,
 }
 
-/// Statistics of one `DistOpt` call — a *view* over the telemetry
-/// counters recorded during the pass (see [`DistOptStats::from_report`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[must_use = "dropping pass statistics usually means a result went unchecked"]
-pub struct DistOptStats {
-    /// Windows whose solve produced at least one cell move or flip.
-    pub windows: usize,
-    /// Total cells moved or flipped.
-    pub cells_changed: usize,
-    /// Parallel rounds executed (= number of diagonal sets).
-    pub rounds: usize,
-}
-
-impl DistOptStats {
-    /// Builds the stats view from recorded telemetry counters.
-    pub fn from_report(r: &MetricsReport) -> DistOptStats {
-        DistOptStats {
-            windows: r.counter(Counter::WindowsImproved) as usize,
-            cells_changed: r.counter(Counter::CellsChanged) as usize,
-            rounds: r.counter(Counter::DistOptRounds) as usize,
-        }
-    }
-}
-
-/// Algorithm 2 proper. All accounting goes through `metrics`; callers
-/// wanting a [`DistOptStats`] attach a [`Telemetry`](vm1_obs::Telemetry)
-/// sink and build the view from its report. Each round runs on at most
-/// one worker per `scratch` buffer (see [`Round::solve`]).
+/// Algorithm 2 proper. All accounting goes through `metrics`. Each round
+/// runs on at most one worker per `scratch` buffer (see [`Round::solve`]).
 pub(crate) fn dist_opt_impl(
     design: &mut Design,
     p: &DistOptParams,
@@ -211,9 +185,7 @@ pub(crate) fn solve_one_window(
             )
         });
         outcome.batches_solved += 1;
-        let assign = metrics.timed(Stage::WindowSolve, || {
-            solve_window_with(&prob, cfg, metrics)
-        });
+        let assign = metrics.timed(Stage::WindowSolve, || solve_window(&prob, cfg, metrics));
         if assign == prob.current_assign() {
             continue;
         }
@@ -234,11 +206,10 @@ pub(crate) fn solve_one_window(
 mod tests {
     use super::*;
     use crate::calculate_obj;
-    use crate::session::Vm1Optimizer;
     use std::sync::Arc;
     use vm1_geom::rng::SplitMix64;
     use vm1_netlist::generator::{DesignProfile, GeneratorConfig};
-    use vm1_obs::Telemetry;
+    use vm1_obs::{MetricsReport, Telemetry};
     use vm1_place::{place, PlaceConfig};
     use vm1_tech::{CellArch, Library};
 
@@ -256,9 +227,15 @@ mod tests {
         (d, cfg)
     }
 
-    /// One pass through the session API.
-    fn pass(d: &mut Design, p: &DistOptParams, cfg: &Vm1Config) -> DistOptStats {
-        Vm1Optimizer::new(cfg.clone()).run_pass(d, p)
+    /// One pass on `cfg.threads` workers, as the session runs it;
+    /// returns the pass's telemetry.
+    fn pass(d: &mut Design, p: &DistOptParams, cfg: &Vm1Config) -> MetricsReport {
+        let t = Arc::new(Telemetry::new());
+        let mut scratch: Vec<SolveScratch> = (0..cfg.threads.max(1))
+            .map(|_| SolveScratch::new())
+            .collect();
+        dist_opt_impl(d, p, cfg, &MetricsHandle::of(t.clone()), &mut scratch);
+        t.report()
     }
 
     fn params(d: &Design) -> DistOptParams {
@@ -278,12 +255,12 @@ mod tests {
         let (mut d, cfg) = setup(CellArch::ClosedM1, 250, 1);
         let before = calculate_obj(&d, &cfg);
         let p = params(&d);
-        let stats = pass(&mut d, &p, &cfg);
+        let r = pass(&mut d, &p, &cfg);
         let after = calculate_obj(&d, &cfg);
         d.validate_placement().expect("legal after DistOpt");
         assert!(after.value <= before.value + 1e-6);
-        assert!(stats.windows > 0);
-        assert!(stats.rounds > 0);
+        assert!(r.counter(Counter::WindowsImproved) > 0);
+        assert!(r.counter(Counter::DistOptRounds) > 0);
         // The optimizer's purpose: more alignments.
         assert!(after.alignments >= before.alignments);
     }
@@ -322,15 +299,11 @@ mod tests {
     fn pass_snapshot(seed: u64, threads: usize) -> (Vec<(i64, i64, bool)>, Vec<u64>) {
         let (mut d, cfg) = setup(CellArch::ClosedM1, 200, seed);
         let p = params(&d);
-        let t = Arc::new(Telemetry::new());
-        let _ = Vm1Optimizer::new(cfg.with_threads(threads))
-            .with_metrics(t.clone())
-            .run_pass(&mut d, &p);
+        let r = pass(&mut d, &p, &cfg.with_threads(threads));
         let placement = d
             .insts()
             .map(|(_, i)| (i.site, i.row, i.orient.is_flipped()))
             .collect();
-        let r = t.report();
         let counters = Counter::ALL.iter().map(|&c| r.counter(c)).collect();
         (placement, counters)
     }

@@ -25,7 +25,7 @@
 //!   determined by the λ assignment);
 //! * [`window`] — layout partitioning and diagonally independent window
 //!   selection (Fig. 3) for the distributable optimization;
-//! * [`distopt`] — Algorithm 2 (DistOpt), with windows of one diagonal set
+//! * `distopt` — Algorithm 2 (DistOpt), with windows of one diagonal set
 //!   solved in parallel;
 //! * [`session`] — Algorithm 1 (VM1Opt) behind the [`Vm1Optimizer`]
 //!   session API: the metaheuristic outer loop over a queue of parameter
@@ -56,7 +56,7 @@
 
 pub mod audit;
 mod config;
-pub mod distopt;
+mod distopt;
 pub mod milp;
 mod objective;
 mod pairs;
@@ -66,9 +66,8 @@ pub mod session;
 pub mod solver;
 pub mod window;
 
-pub use audit::{audit_design, audit_design_with, recount_alignments, DesignAuditReport};
+pub use audit::{audit_design, recount_alignments, DesignAuditReport};
 pub use config::{ParamSet, SolverKind, Vm1Config};
-pub use distopt::{DistOptParams, DistOptStats};
 pub use objective::{calculate_obj, count_alignments, overlap_stats, Objective};
-pub use pairs::{alignable_pairs, pair_aligned, PairIndex, PinPairs};
+pub use pairs::{alignable_pairs, pair_aligned, PairIndex};
 pub use session::{OptStats, Vm1Optimizer};

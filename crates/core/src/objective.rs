@@ -52,7 +52,7 @@ pub fn overlap_stats(design: &Design, cfg: &Vm1Config) -> (usize, Dbu) {
     let pairs = alignable_pairs(design, cfg);
     let mut count = 0usize;
     let mut overlap = Dbu::ZERO;
-    for &(a, b, _) in &pairs.pairs {
+    for &(a, b, _) in &pairs {
         if let Some(ov) = pair_aligned(design, a, b) {
             count += 1;
             overlap += ov;

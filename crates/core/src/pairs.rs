@@ -5,38 +5,16 @@ use vm1_geom::Dbu;
 use vm1_netlist::{Design, InstId, NetId, NetPin, PinRef};
 use vm1_tech::{CellArch, Layer};
 
-/// All pin pairs eligible for a `d_pq` variable: cell-pin pairs of the
-/// same (small enough) net, on the architecture's pin layer, from distinct
-/// instances.
-#[derive(Clone, Debug, Default)]
-pub struct PinPairs {
-    /// `(p, q, net)` with `p < q` by instance/pin order.
-    pub pairs: Vec<(PinRef, PinRef, NetId)>,
-}
-
-impl PinPairs {
-    /// Number of pairs.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.pairs.len()
-    }
-
-    /// Whether no pairs exist.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.pairs.is_empty()
-    }
-}
-
-/// Enumerates eligible pairs per the paper ("∀(p, q) in n"): every
-/// unordered pair of cell pins within each net, excluding ports, pins of
-/// the same instance, over-large nets, and architectures without inter-row
-/// M1.
+/// Enumerates the pin pairs eligible for a `d_pq` variable per the paper
+/// ("∀(p, q) in n"): every unordered pair of cell pins within each net,
+/// on the architecture's pin layer, excluding ports, pins of the same
+/// instance, over-large nets, and architectures without inter-row M1.
+/// Each pair is `(p, q, net)` with `p < q` by instance/pin order.
 #[must_use]
-pub fn alignable_pairs(design: &Design, cfg: &Vm1Config) -> PinPairs {
+pub fn alignable_pairs(design: &Design, cfg: &Vm1Config) -> Vec<(PinRef, PinRef, NetId)> {
     let arch = design.library().arch();
     if !arch.allows_inter_row_m1() {
-        return PinPairs::default();
+        return Vec::new();
     }
     let want_layer = pin_layer(arch);
     let mut pairs = Vec::new();
@@ -60,7 +38,7 @@ pub fn alignable_pairs(design: &Design, cfg: &Vm1Config) -> PinPairs {
             }
         }
     }
-    PinPairs { pairs }
+    pairs
 }
 
 /// The eligible pairs of [`alignable_pairs`] with an instance → pairs
@@ -69,7 +47,7 @@ pub fn alignable_pairs(design: &Design, cfg: &Vm1Config) -> PinPairs {
 /// serves a whole `DistOpt` pass.
 #[derive(Clone, Debug, Default)]
 pub struct PairIndex {
-    pairs: PinPairs,
+    pairs: Vec<(PinRef, PinRef, NetId)>,
     /// `adj[start[i]..start[i + 1]]` are the pairs touching instance `i`,
     /// in ascending pair order.
     start: Vec<usize>,
@@ -83,7 +61,7 @@ impl PairIndex {
     pub fn build(design: &Design, cfg: &Vm1Config) -> PairIndex {
         let pairs = alignable_pairs(design, cfg);
         let mut start = vec![0usize; design.num_insts() + 1];
-        for (p, q, _) in &pairs.pairs {
+        for (p, q, _) in &pairs {
             start[p.inst.0 + 1] += 1;
             start[q.inst.0 + 1] += 1;
         }
@@ -92,7 +70,7 @@ impl PairIndex {
         }
         let mut fill = start.clone();
         let mut adj = vec![0usize; 2 * pairs.len()];
-        for (pi, (p, q, _)) in pairs.pairs.iter().enumerate() {
+        for (pi, (p, q, _)) in pairs.iter().enumerate() {
             for inst in [p.inst, q.inst] {
                 adj[fill[inst.0]] = pi;
                 fill[inst.0] += 1;
@@ -104,7 +82,7 @@ impl PairIndex {
     /// Every eligible pair, in [`alignable_pairs`] order.
     #[must_use]
     pub fn pairs(&self) -> &[(PinRef, PinRef, NetId)] {
-        &self.pairs.pairs
+        &self.pairs
     }
 
     /// Indices into [`PairIndex::pairs`] of the pairs with an endpoint on
@@ -168,7 +146,7 @@ mod tests {
         let p = alignable_pairs(&d, &cfg);
         assert!(!p.is_empty());
         // Pairs never repeat an instance.
-        for &(a, b, _) in &p.pairs {
+        for &(a, b, _) in &p {
             assert_ne!(a.inst, b.inst);
         }
     }
@@ -186,7 +164,7 @@ mod tests {
         let d = gen(CellArch::ClosedM1);
         let clk = d.nets().find(|(_, n)| n.name == "clk_net").unwrap().0;
         let p = alignable_pairs(&d, &cfg);
-        assert!(p.pairs.iter().all(|&(_, _, n)| n != clk));
+        assert!(p.iter().all(|&(_, _, n)| n != clk));
     }
 
     #[test]

@@ -514,73 +514,6 @@ impl WindowProblem {
         self.cells.iter().map(|c| c.current).collect()
     }
 
-    /// A digest of everything the solvers can observe: cells with their
-    /// candidates and current positions, net fixed boxes, pair geometry
-    /// and weights. Two problems with equal digests produce identical
-    /// solver results, so a digest identifies a batch in golden tests.
-    #[must_use]
-    pub fn state_digest(&self) -> u64 {
-        let mut h: u64 = 0x9E37_79B9_7F4A_7C15;
-        let mut mix = |v: u64| {
-            h ^= v
-                .wrapping_add(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(h << 6)
-                .wrapping_add(h >> 2);
-            h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        };
-        mix(self.window.site0 as u64);
-        mix(self.window.row0 as u64);
-        mix(self.window.w_sites as u64);
-        mix(self.window.h_rows as u64);
-        mix(self.alpha.to_bits());
-        mix(self.epsilon.to_bits());
-        mix(self.gamma_span as u64);
-        mix(self.delta as u64);
-        mix(u64::from(self.exact));
-        for cell in &self.cells {
-            mix(cell.inst.0 as u64);
-            mix(cell.width as u64);
-            mix(cell.current as u64);
-            for c in &cell.cands {
-                mix(c.site as u64);
-                mix(c.row as u64);
-                mix(u64::from(c.orient.is_flipped()));
-            }
-        }
-        for net in &self.nets {
-            mix(net.weight.to_bits());
-            if let Some((x0, y0, x1, y1)) = net.fixed {
-                mix(x0 as u64);
-                mix(y0 as u64);
-                mix(x1 as u64);
-                mix(y1 as u64);
-            }
-            for &(c, s) in &net.movable {
-                mix(c as u64);
-                mix(s as u64);
-            }
-        }
-        for pair in &self.pairs {
-            for e in [&pair.a, &pair.b] {
-                match *e {
-                    End::Movable { cell, slot } => {
-                        mix(1);
-                        mix(cell as u64);
-                        mix(slot as u64);
-                    }
-                    End::Fixed(g) => {
-                        mix(2);
-                        mix(g.x as u64);
-                        mix(g.y as u64);
-                        mix(g.x_lo as u64);
-                        mix(g.x_hi as u64);
-                    }
-                }
-            }
-        }
-        h
-    }
-
     /// Pin geometry of an endpoint under `assign`.
     #[must_use]
     pub fn end_geo(&self, e: &End, assign: &[usize]) -> PinGeo {
@@ -896,7 +829,7 @@ mod tests {
             let (d, cfg) = setup(arch);
             let all = alignable_pairs(&d, &cfg);
             let index = PairIndex::build(&d, &cfg);
-            assert_eq!(index.pairs(), all.pairs.as_slice());
+            assert_eq!(index.pairs(), all.as_slice());
             let rm = RowMap::build(&d);
             let grid = WindowGrid::partition(&d, 0, 0, 40, 4);
             let mut ids = Vec::new();
@@ -907,7 +840,7 @@ mod tests {
                     batch_pairs(&index, batch, &mut ids);
                     let oracle: Vec<usize> = (0..all.len())
                         .filter(|&i| {
-                            let (p, q, _) = all.pairs[i];
+                            let (p, q, _) = all[i];
                             batch.contains(&p.inst) || batch.contains(&q.inst)
                         })
                         .collect();

@@ -17,7 +17,7 @@
 //! counters, so the session and the report can never disagree.
 
 use crate::audit::debug_checkpoint;
-use crate::distopt::{dist_opt_impl, DistOptParams, DistOptStats};
+use crate::distopt::{dist_opt_impl, DistOptParams};
 use crate::objective::{calculate_obj, Objective};
 use crate::problem::SolveScratch;
 use crate::Vm1Config;
@@ -50,7 +50,7 @@ pub struct OptStats {
     pub iterations: usize,
     /// Total cells moved or flipped.
     pub cells_changed: usize,
-    /// Wall-clock runtime in milliseconds.
+    /// Wall-clock runtime in milliseconds (the run's `vm1opt` stage time).
     pub runtime_ms: u64,
 }
 
@@ -135,8 +135,8 @@ impl Vm1Optimizer {
         &self.cfg
     }
 
-    /// Telemetry report of the most recent [`Self::run`] /
-    /// [`Self::run_pass`] (counters, stage times, objective trajectory).
+    /// Telemetry report of the most recent [`Self::run`] (counters, stage
+    /// times, objective trajectory).
     #[must_use]
     pub fn last_report(&self) -> Option<&MetricsReport> {
         self.last_report.as_ref()
@@ -260,21 +260,7 @@ impl Vm1Optimizer {
 
         metrics.record_time(Stage::Vm1Opt, start.elapsed_nanos());
         let report = telemetry.report();
-        let mut stats = OptStats::from_report(&report, &initial, &cur);
-        stats.runtime_ms = start.elapsed_ms();
-        self.last_report = Some(report);
-        stats
-    }
-
-    /// Runs a single `DistOpt` pass (Algorithm 2) through the session —
-    /// the session's sinks apply, and [`Self::last_report`] is
-    /// replaced with this pass's telemetry.
-    pub fn run_pass(&mut self, design: &mut Design, p: &DistOptParams) -> DistOptStats {
-        let telemetry = Arc::new(Telemetry::new());
-        let metrics = self.user_metrics.and(telemetry.clone());
-        dist_opt_impl(design, p, &self.cfg, &metrics, &mut self.scratch);
-        let report = telemetry.report();
-        let stats = DistOptStats::from_report(&report);
+        let stats = OptStats::from_report(&report, &initial, &cur);
         self.last_report = Some(report);
         stats
     }
@@ -399,23 +385,13 @@ mod cache_tests {
         }
         assert_eq!(r_plain.trajectory().len(), r_inst.trajectory().len());
 
-        // The user sink accumulates across passes, and each pass's stats
+        // The user sink accumulates across runs, and each run's stats
         // view is built from the very same counters: they cannot disagree.
         let sink = Arc::new(Telemetry::new());
         let mut opt = Vm1Optimizer::new(cfg).with_metrics(sink.clone());
-        let p = DistOptParams {
-            tx: 0,
-            ty: 0,
-            bw_sites: 62,
-            bh_rows: 8,
-            lx: 3,
-            ly: 1,
-            flip: false,
-        };
-        let total_changed: usize = (0..3)
-            .map(|_| opt.run_pass(&mut d_plain, &p).cells_changed)
-            .sum();
-        assert!(total_changed > 0, "passes must change some cells");
+        let mut d = setup(15);
+        let total_changed: usize = (0..2).map(|_| opt.run(&mut d).cells_changed).sum();
+        assert!(total_changed > 0, "runs must change some cells");
         assert_eq!(
             sink.report().counter(Counter::CellsChanged) as usize,
             total_changed

@@ -20,24 +20,15 @@ use crate::{SolverKind, Vm1Config};
 use vm1_milp::{solve as milp_solve, solve_certified, SolveParams};
 use vm1_obs::{Counter, MetricsHandle, Stage};
 
-/// Solves a window problem with the engine selected in `cfg`.
+/// Solves a window problem with the engine selected in `cfg`, recording
+/// the solver-engine counters ([`Counter::DfsNodes`],
+/// [`Counter::DfsBudgetExhausted`], the MILP family) and the MILP
+/// build/solve stage timers through `metrics`.
 ///
 /// The returned assignment is always legal and its objective never exceeds
 /// the input placement's.
 #[must_use]
-pub fn solve_window(prob: &WindowProblem, cfg: &Vm1Config) -> Vec<usize> {
-    solve_window_with(prob, cfg, &MetricsHandle::disabled())
-}
-
-/// [`solve_window`] with a metrics sink: records solver-engine counters
-/// ([`Counter::DfsNodes`], [`Counter::DfsBudgetExhausted`], the MILP
-/// family) and the MILP build/solve stage timers.
-#[must_use]
-pub fn solve_window_with(
-    prob: &WindowProblem,
-    cfg: &Vm1Config,
-    metrics: &MetricsHandle,
-) -> Vec<usize> {
+pub fn solve_window(prob: &WindowProblem, cfg: &Vm1Config, metrics: &MetricsHandle) -> Vec<usize> {
     if prob.cells.is_empty() {
         return Vec::new();
     }
@@ -50,7 +41,7 @@ pub fn solve_window_with(
             }
             assign
         }
-        SolverKind::Milp => milp_window_solve_with(prob, cfg, metrics),
+        SolverKind::Milp => milp_window_solve(prob, cfg, metrics),
     };
     // Safety net: never return something worse or illegal.
     let cur = prob.current_assign();
@@ -72,18 +63,13 @@ pub fn solve_window_with(
 /// `max_nodes` (300k) one such window ran for more than 3 minutes.
 pub const MILP_MAX_NODES: usize = 10_000;
 
-/// Solves the window through the faithful MILP formulation.
+/// Solves the window through the faithful MILP formulation. The B&B
+/// statistics (nodes, prunes, LP solves, pivots, presolve reductions)
+/// are emitted by `vm1-milp` itself through the handle passed in
+/// [`SolveParams`]; this layer adds the build/solve timers and the
+/// fallback and certificate counters.
 #[must_use]
-pub fn milp_window_solve(prob: &WindowProblem, cfg: &Vm1Config) -> Vec<usize> {
-    milp_window_solve_with(prob, cfg, &MetricsHandle::disabled())
-}
-
-/// [`milp_window_solve`] with a metrics sink. The B&B statistics
-/// (nodes, prunes, LP solves, pivots, presolve reductions) are emitted by
-/// `vm1-milp` itself through the handle passed in [`SolveParams`];
-/// this layer adds the build/solve timers and the fallback counter.
-#[must_use]
-pub fn milp_window_solve_with(
+pub fn milp_window_solve(
     prob: &WindowProblem,
     cfg: &Vm1Config,
     metrics: &MetricsHandle,
@@ -749,7 +735,7 @@ mod tests {
                 Vm1Config::closedm1()
             };
             let dfs = dfs_solve(&prob, 1_000_000);
-            let milp = milp_window_solve(&prob, &cfg);
+            let milp = milp_window_solve(&prob, &cfg, &MetricsHandle::disabled());
             assert!(prob.is_legal(&milp), "{arch}: milp assignment legal");
             assert!(
                 (prob.eval(&dfs) - prob.eval(&milp)).abs() < 1e-6,
@@ -773,7 +759,7 @@ mod tests {
             .with_certify(true);
         let sink = Arc::new(Telemetry::new());
         let metrics = MetricsHandle::of(sink.clone());
-        let a = solve_window_with(&prob, &cfg, &metrics);
+        let a = solve_window(&prob, &cfg, &metrics);
         assert!(prob.is_legal(&a));
         let dfs = dfs_solve(&prob, 1_000_000);
         assert!(
@@ -797,7 +783,7 @@ mod tests {
         let prob = problem(CellArch::ClosedM1, 5, 7);
         for kind in [SolverKind::Dfs, SolverKind::Milp] {
             let cfg = Vm1Config::closedm1().with_solver(kind);
-            let a = solve_window(&prob, &cfg);
+            let a = solve_window(&prob, &cfg, &MetricsHandle::disabled());
             assert!(prob.is_legal(&a), "{kind:?}");
             assert!(prob.eval(&a) <= prob.eval(&prob.current_assign()) + 1e-9);
         }
@@ -816,7 +802,7 @@ mod tests {
             let mut cfg = Vm1Config::closedm1();
             cfg.max_nodes = max_nodes;
             let sink = Arc::new(Telemetry::new());
-            let _ = solve_window_with(&prob, &cfg, &MetricsHandle::of(sink.clone()));
+            let _ = solve_window(&prob, &cfg, &MetricsHandle::of(sink.clone()));
             let report = sink.report();
             assert_eq!(report.counter(Counter::DfsBudgetExhausted), cut);
             assert_eq!(report.all_exact(), cut == 0);

@@ -1,7 +1,7 @@
 //! One perturbation pass over a seeded design, replayed batch by batch:
 //! the real windows the DFS tests run on.
 
-use vm1_core::problem::{Overrides, WindowProblem};
+use vm1_core::problem::{End, Overrides, WindowProblem};
 use vm1_core::window::WindowGrid;
 use vm1_core::Vm1Config;
 use vm1_netlist::generator::{DesignProfile, GeneratorConfig};
@@ -56,4 +56,71 @@ pub fn replay_pass(
             d.move_inst(inst, c.site, c.row, c.orient);
         }
     }
+}
+
+/// A digest of everything the solvers can observe: cells with their
+/// candidates and current positions, net fixed boxes, pair geometry
+/// and weights. Two problems with equal digests produce identical
+/// solver results, so a digest identifies a batch in the golden tables
+/// and in failure messages.
+pub fn state_digest(prob: &WindowProblem) -> u64 {
+    let mut h: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mut mix = |v: u64| {
+        h ^= v
+            .wrapping_add(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(h << 6)
+            .wrapping_add(h >> 2);
+        h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    };
+    mix(prob.window.site0 as u64);
+    mix(prob.window.row0 as u64);
+    mix(prob.window.w_sites as u64);
+    mix(prob.window.h_rows as u64);
+    mix(prob.alpha.to_bits());
+    mix(prob.epsilon.to_bits());
+    mix(prob.gamma_span as u64);
+    mix(prob.delta as u64);
+    mix(u64::from(prob.exact));
+    for cell in &prob.cells {
+        mix(cell.inst.0 as u64);
+        mix(cell.width as u64);
+        mix(cell.current as u64);
+        for c in &cell.cands {
+            mix(c.site as u64);
+            mix(c.row as u64);
+            mix(u64::from(c.orient.is_flipped()));
+        }
+    }
+    for net in &prob.nets {
+        mix(net.weight.to_bits());
+        if let Some((x0, y0, x1, y1)) = net.fixed {
+            mix(x0 as u64);
+            mix(y0 as u64);
+            mix(x1 as u64);
+            mix(y1 as u64);
+        }
+        for &(c, s) in &net.movable {
+            mix(c as u64);
+            mix(s as u64);
+        }
+    }
+    for pair in &prob.pairs {
+        for e in [&pair.a, &pair.b] {
+            match *e {
+                End::Movable { cell, slot } => {
+                    mix(1);
+                    mix(cell as u64);
+                    mix(slot as u64);
+                }
+                End::Fixed(g) => {
+                    mix(2);
+                    mix(g.x as u64);
+                    mix(g.y as u64);
+                    mix(g.x_lo as u64);
+                    mix(g.x_hi as u64);
+                }
+            }
+        }
+    }
+    h
 }

@@ -7,7 +7,7 @@
 
 mod common;
 
-use common::replay_pass;
+use common::{replay_pass, state_digest};
 use proptest::prelude::*;
 use vm1_core::problem::{Overrides, WindowProblem};
 use vm1_core::solver::{dfs_root_bound, dfs_solve, dfs_solve_unsplit};
@@ -81,7 +81,8 @@ fn unbudgeted_dfs_equals_brute_force() {
         let got = prob.eval(assign);
         assert!(
             (got - expect).abs() <= 1e-6 * (1.0 + expect.abs()),
-            "dfs {got} vs brute force {expect}"
+            "batch 0x{:016x}: dfs {got} vs brute force {expect}",
+            state_digest(prob)
         );
         compared += 1;
     });
@@ -92,7 +93,12 @@ fn unbudgeted_dfs_equals_brute_force() {
 fn split_search_picks_the_whole_batch_assignment() {
     let mut batches = 0;
     for_each_batch(&mut |prob, assign| {
-        assert_eq!(assign, dfs_solve_unsplit(prob, usize::MAX));
+        assert_eq!(
+            assign,
+            dfs_solve_unsplit(prob, usize::MAX),
+            "batch 0x{:016x}",
+            state_digest(prob)
+        );
         batches += 1;
     });
     assert!(batches > 30, "{batches} batches");
@@ -106,7 +112,8 @@ fn root_reach_bound_never_exceeds_the_optimum() {
         let opt = prob.eval(assign);
         assert!(
             bound <= opt + 1e-6,
-            "root bound {bound} above optimum {opt}"
+            "batch 0x{:016x}: root bound {bound} above optimum {opt}",
+            state_digest(prob)
         );
         // The box of the fixed pins alone, less every pair's bonus: the
         // bound without the reach of the unplaced pins.

@@ -12,9 +12,9 @@
 
 mod common;
 
-use common::replay_pass;
+use common::{replay_pass, state_digest};
 use std::sync::Arc;
-use vm1_core::solver::solve_window_with;
+use vm1_core::solver::solve_window;
 use vm1_core::{ParamSet, Vm1Config};
 use vm1_netlist::generator::DesignProfile;
 use vm1_obs::{Counter, MetricsHandle, Telemetry};
@@ -93,7 +93,7 @@ fn replay(max_nodes: usize) -> (Vec<(u64, u64, u64)>, usize) {
         &cfg,
         &mut |prob| {
             let sink = Arc::new(Telemetry::new());
-            let assign = solve_window_with(prob, &cfg, &MetricsHandle::of(sink.clone()));
+            let assign = solve_window(prob, &cfg, &MetricsHandle::of(sink.clone()));
             let report = sink.report();
             let nodes = report.counter(Counter::DfsNodes);
             let cut = report.counter(Counter::DfsBudgetExhausted);
@@ -101,7 +101,7 @@ fn replay(max_nodes: usize) -> (Vec<(u64, u64, u64)>, usize) {
             // a search cut short, so a cut search ends above the budget.
             assert_eq!(cut, u64::from(nodes >= cfg.max_nodes as u64));
             capped += cut as usize;
-            solved.push((prob.state_digest(), nodes, assign_digest(&assign)));
+            solved.push((state_digest(prob), nodes, assign_digest(&assign)));
             assign
         },
     );

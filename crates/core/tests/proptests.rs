@@ -17,6 +17,7 @@ use vm1_core::{
 };
 use vm1_netlist::generator::{DesignProfile, GeneratorConfig};
 use vm1_netlist::Design;
+use vm1_obs::MetricsHandle;
 use vm1_place::{place, PlaceConfig, RowMap};
 use vm1_tech::{CellArch, Library};
 
@@ -67,7 +68,7 @@ proptest! {
         prop_assume!(!movable.is_empty());
         let prob = WindowProblem::build(&d, &rm, win, &movable, lx, ly, false, &cfg, &Overrides::new());
         let cur_obj = prob.eval(&prob.current_assign());
-        let assign = solve_window(&prob, &cfg);
+        let assign = solve_window(&prob, &cfg, &MetricsHandle::disabled());
         prop_assert!(prob.is_legal(&assign));
         prop_assert!(prob.eval(&assign) <= cur_obj + 1e-9);
     }
@@ -168,13 +169,13 @@ proptest! {
     ) {
         let arch = [CellArch::ClosedM1, CellArch::OpenM1][arch_i as usize];
         let (mut d, cfg) = build(arch, n, seed);
-        let pre = audit_design(&d, &cfg);
+        let pre = audit_design(&d, &cfg, &MetricsHandle::disabled());
         prop_assert!(pre.is_clean(), "pre-optimization: {}", pre.summary());
 
         let cfg = cfg.with_sequence(vec![ParamSet::new(4.0, 3, 1)]);
         let _ = Vm1Optimizer::new(cfg.clone()).run(&mut d);
 
-        let post = audit_design(&d, &cfg);
+        let post = audit_design(&d, &cfg, &MetricsHandle::disabled());
         prop_assert!(post.is_clean(), "post-optimization: {}", post.summary());
         prop_assert!(d.validate_placement().is_ok());
     }
@@ -190,33 +191,24 @@ proptest! {
         n in 120usize..220,
         seed in 0u64..500,
         lx in 1i64..4,
-        flip_i in 0u8..2,
     ) {
-        let flip = flip_i == 1;
         use std::sync::Arc;
-        use vm1_core::DistOptParams;
         use vm1_obs::{Counter, Telemetry};
 
-        let p = |d: &Design| DistOptParams {
-            tx: 0,
-            ty: 0,
-            bw_sites: (d.sites_per_row / 3).max(10),
-            bh_rows: (d.num_rows / 3).max(2),
-            lx,
-            ly: 1,
-            flip,
-        };
-        // One full DistOpt pass at 1 thread vs 8 threads: placements and
-        // every counter must be bit-identical (scheduler gauges may not).
+        // One VM1Opt iteration (a perturb and a flip DistOpt pass) at 1
+        // thread vs 8 threads: placements and every counter must be
+        // bit-identical (scheduler gauges may not).
         let mut results = Vec::new();
         for threads in [1usize, 8] {
             let (mut d, cfg) = build(CellArch::ClosedM1, n, seed);
-            let cfg = cfg.with_threads(threads);
+            let mut cfg = cfg
+                .with_threads(threads)
+                .with_sequence(vec![ParamSet::new(1.5, lx, 1)]);
+            cfg.max_inner_iters = 1;
             let sink = Arc::new(Telemetry::new());
-            let params = p(&d);
             let _ = Vm1Optimizer::new(cfg)
                 .with_metrics(sink.clone())
-                .run_pass(&mut d, &params);
+                .run(&mut d);
             let placement: Vec<(i64, i64, bool)> = d
                 .insts()
                 .map(|(_, i)| (i.site, i.row, i.orient.is_flipped()))

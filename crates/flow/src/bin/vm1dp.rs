@@ -253,7 +253,7 @@ fn load(opts: &Opts) -> Design {
 /// assumes every cell in the core and no two cells overlapping.
 fn load_placed(opts: &Opts) -> Design {
     let design = load(opts);
-    let report = vm1_place::verify_placement(&design);
+    let report = vm1_place::verify_placement(&design, None, None, &MetricsHandle::disabled());
     if !report.is_clean() {
         eprint!(
             "error: illegal input placement ({} violations):\n{}",
@@ -296,7 +296,7 @@ fn base_config(opts: &Opts) -> Vm1Config {
 /// (smallest failing class wins). Findings are printed and recorded
 /// through `metrics`.
 fn run_audit(design: &Design, opts: &Opts, metrics: &MetricsHandle) -> i32 {
-    let report = vm1_core::audit_design_with(design, &base_config(opts), metrics);
+    let report = vm1_core::audit_design(design, &base_config(opts), metrics);
     outln!(
         "audit placement : {} checks, {} violations",
         report.placement.checks(),

@@ -8,7 +8,6 @@
 use crate::{build_testcase, measure, optimize_and_measure, ExperimentRow, FlowConfig};
 use vm1_core::{ParamSet, Vm1Config};
 use vm1_netlist::generator::DesignProfile;
-use vm1_obs::timer::Stopwatch;
 use vm1_tech::CellArch;
 
 /// Effort level of an experiment run.
@@ -184,9 +183,7 @@ pub fn expt_a3(scale: ExperimentScale) -> Vec<A3Row> {
     for (id, label, seq) in sequences {
         let mut tc = build_testcase(&base);
         let cfg = Vm1Config::closedm1().with_sequence(seq);
-        let start = Stopwatch::start();
         let row = optimize_and_measure(&mut tc, &cfg);
-        let _ = start;
         rows.push(A3Row {
             id,
             label,

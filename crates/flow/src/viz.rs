@@ -39,7 +39,7 @@ pub fn render_placement(design: &Design, cfg: &Vm1Config, max_width: usize) -> S
     // mark the overlap mid-column).
     let tech = design.library().tech();
     let mut aligned_cols: Vec<Vec<bool>> = vec![vec![false; sites]; rows];
-    for &(a, b, _) in &alignable_pairs(design, cfg).pairs {
+    for &(a, b, _) in &alignable_pairs(design, cfg) {
         if let Some(_ov) = vm1_core::pair_aligned(design, a, b) {
             let pa = design.pin_position(a);
             let pb = design.pin_position(b);

@@ -16,7 +16,6 @@ use std::path::{Path, PathBuf};
 /// Result types that must carry a struct-level `#[must_use]`.
 const MUST_USE_TYPES: &[(&str, &str)] = &[
     ("crates/core/src/session.rs", "OptStats"),
-    ("crates/core/src/distopt.rs", "DistOptStats"),
     ("crates/core/src/objective.rs", "Objective"),
     ("crates/core/src/audit.rs", "DesignAuditReport"),
     ("crates/place/src/refine.rs", "RefineStats"),

@@ -60,32 +60,6 @@ impl Dbu {
         self.0 as f64 / 1000.0
     }
 
-    /// Creates a `Dbu` from a micrometre quantity, rounding to nearest nm.
-    ///
-    /// Values beyond the `i64` nanometre range (including NaN and the
-    /// infinities, which map to 0 and ±`i64::MAX` respectively) saturate —
-    /// the standard behaviour of a float-to-int `as` cast. Use
-    /// [`Dbu::try_from_um`] when out-of-range input must be rejected
-    /// instead.
-    #[must_use]
-    pub fn from_um(um: f64) -> Dbu {
-        Dbu((um * 1000.0).round() as i64)
-    }
-
-    /// Checked [`Dbu::from_um`]: `None` when the rounded nanometre value
-    /// is NaN or does not fit in `i64`.
-    #[must_use]
-    pub fn try_from_um(um: f64) -> Option<Dbu> {
-        let nm = (um * 1000.0).round();
-        // i64::MAX itself is not exactly representable as f64; the nearest
-        // exactly-representable bound is 2^63, which is out of range.
-        if nm.is_nan() || nm < i64::MIN as f64 || nm >= i64::MAX as f64 {
-            None
-        } else {
-            Some(Dbu(nm as i64))
-        }
-    }
-
     /// Raw `i64` value in nanometres.
     #[must_use]
     pub fn nm(self) -> i64 {
@@ -210,25 +184,7 @@ mod tests {
 
     #[test]
     fn um_conversion_round_trips() {
-        assert_eq!(Dbu::from_um(1.5), Dbu(1500));
         assert!((Dbu(1500).to_um() - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn try_from_um_accepts_in_range_and_rejects_the_rest() {
-        assert_eq!(Dbu::try_from_um(1.5), Some(Dbu(1500)));
-        assert_eq!(Dbu::try_from_um(-2.0), Some(Dbu(-2000)));
-        assert_eq!(Dbu::try_from_um(f64::NAN), None);
-        assert_eq!(Dbu::try_from_um(f64::INFINITY), None);
-        assert_eq!(Dbu::try_from_um(f64::NEG_INFINITY), None);
-        assert_eq!(Dbu::try_from_um(1e17), None); // 1e20 nm > i64::MAX
-    }
-
-    #[test]
-    fn from_um_saturates_out_of_range() {
-        assert_eq!(Dbu::from_um(f64::INFINITY), Dbu(i64::MAX));
-        assert_eq!(Dbu::from_um(f64::NEG_INFINITY), Dbu(i64::MIN));
-        assert_eq!(Dbu::from_um(f64::NAN), Dbu(0));
     }
 
     #[test]

@@ -17,10 +17,10 @@ use std::fmt;
 /// ```
 /// use vm1_geom::{Dbu, Orient};
 ///
-/// // A pin 10 nm from the left edge of a 48 nm-wide cell lands 38 nm from
-/// // the left edge once the cell is flipped.
-/// let x = Orient::FlippedNorth.apply_x(Dbu(10), Dbu(48));
-/// assert_eq!(x, Dbu(38));
+/// // A pin spanning 10..14 nm from the left edge of a 48 nm-wide cell
+/// // spans 34..38 nm once the cell is flipped.
+/// let span = Orient::FlippedNorth.apply_x_range(Dbu(10), Dbu(14), Dbu(48));
+/// assert_eq!(span, (Dbu(34), Dbu(38)));
 /// ```
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Orient {
@@ -51,20 +51,10 @@ impl Orient {
         }
     }
 
-    /// Transforms a cell-relative x-offset given the cell `width`.
-    ///
-    /// For [`Orient::North`] the offset is unchanged; for
-    /// [`Orient::FlippedNorth`] it becomes `width - offset`.
-    #[must_use]
-    pub fn apply_x(self, offset: Dbu, width: Dbu) -> Dbu {
-        match self {
-            Orient::North => offset,
-            Orient::FlippedNorth => width - offset,
-        }
-    }
-
     /// Transforms a cell-relative x-interval `[lo, hi)` given the cell
     /// `width`, returning the transformed `(lo, hi)` pair (still ordered).
+    /// [`Orient::North`] keeps it; [`Orient::FlippedNorth`] mirrors it to
+    /// `[width - hi, width - lo)`.
     #[must_use]
     pub fn apply_x_range(self, lo: Dbu, hi: Dbu, width: Dbu) -> (Dbu, Dbu) {
         match self {
@@ -98,11 +88,12 @@ mod tests {
     #[test]
     fn apply_x_identity_and_mirror() {
         let w = Dbu(100);
-        assert_eq!(Orient::North.apply_x(Dbu(30), w), Dbu(30));
-        assert_eq!(Orient::FlippedNorth.apply_x(Dbu(30), w), Dbu(70));
-        // Mirroring twice restores the offset.
-        let once = Orient::FlippedNorth.apply_x(Dbu(30), w);
-        assert_eq!(Orient::FlippedNorth.apply_x(once, w), Dbu(30));
+        let span = (Dbu(30), Dbu(40));
+        assert_eq!(Orient::North.apply_x_range(span.0, span.1, w), span);
+        // Mirroring twice restores the span.
+        let once = Orient::FlippedNorth.apply_x_range(span.0, span.1, w);
+        assert_eq!(once, (Dbu(60), Dbu(70)));
+        assert_eq!(Orient::FlippedNorth.apply_x_range(once.0, once.1, w), span);
     }
 
     #[test]

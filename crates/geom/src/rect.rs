@@ -116,13 +116,6 @@ impl Rect {
         self.x_range().contains(p.x) && self.y_range().contains(p.y)
     }
 
-    /// Whether `other` overlaps `self` with positive area.
-    #[must_use]
-    pub fn intersects(self, other: Rect) -> bool {
-        self.x_range().overlap(other.x_range()).is_some()
-            && self.y_range().overlap(other.y_range()).is_some()
-    }
-
     /// The intersection rectangle, or `None` when the overlap has zero area.
     #[must_use]
     pub fn intersection(self, other: Rect) -> Option<Rect> {
@@ -194,10 +187,13 @@ mod tests {
     #[test]
     fn intersection_cases() {
         let a = r(0, 0, 10, 10);
-        assert!(a.intersects(r(5, 5, 15, 15)));
         assert_eq!(a.intersection(r(5, 5, 15, 15)), Some(r(5, 5, 10, 10)));
-        assert!(!a.intersects(r(10, 0, 20, 10)), "abutment is not overlap");
-        assert!(!a.intersects(r(0, 10, 10, 20)));
+        assert_eq!(
+            a.intersection(r(10, 0, 20, 10)),
+            None,
+            "abutment is not overlap"
+        );
+        assert_eq!(a.intersection(r(0, 10, 10, 20)), None);
         assert_eq!(a.intersection(r(20, 20, 30, 30)), None);
     }
 

@@ -8,9 +8,10 @@
 //!   (minimization) objective, and optional SOS1 groups;
 //! * an LP solver (bounded-variable primal simplex, dense, two-phase) in
 //!   [`lp`];
-//! * a branch-and-bound MILP solver in [`solve`] / [`Solver`] with
-//!   most-fractional and SOS1 branching, a rounding heuristic, warm starts,
-//!   and a node limit.
+//! * a branch-and-bound MILP solver, [`solve`] (and [`solve_certified`],
+//!   which also records a replayable certificate), with most-fractional
+//!   and SOS1 branching, a rounding heuristic, warm starts, and a node
+//!   limit.
 //!
 //! The solver is exact on the model classes the workspace produces
 //! (hundreds of bounded variables, big-M indicator constraints); its answers
@@ -44,8 +45,6 @@ mod model;
 mod presolve;
 pub mod tol;
 
-pub use branch::{
-    solve, solve_certified, CertifiedSolution, MilpSolution, SolveParams, Solver, Status,
-};
+pub use branch::{solve, solve_certified, CertifiedSolution, MilpSolution, SolveParams, Status};
 pub use cert::{BranchStep, CertNode, Certificate, NodeOutcome};
 pub use model::{ConstraintSense, LinExpr, Model, VarId, VarKind};

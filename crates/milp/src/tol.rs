@@ -76,31 +76,3 @@ pub const ACTIVITY_INFEAS_TOL: f64 = 1e-7;
 /// bound that is an integer up to float noise (2.9999999…) rounds to
 /// that integer, not past it.
 pub const INT_ROUND_FUDGE: f64 = 1e-7;
-
-/// Relative-tolerance float comparison: `a` and `b` are close if their
-/// difference is within `tol` scaled by the larger magnitude (with an
-/// absolute floor of `tol` for values near zero). Use this instead of a
-/// raw `(a - b).abs() < eps` whenever the compared quantities can be
-/// large — window objectives reach 1e9 nm, where an absolute 1e-5 test
-/// is meaninglessly strict.
-#[must_use]
-pub fn approx_eq_rel(a: f64, b: f64, tol: f64) -> bool {
-    let scale = a.abs().max(b.abs()).max(1.0);
-    (a - b).abs() <= tol * scale
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn approx_eq_rel_scales_with_magnitude() {
-        // Absolute regime near zero.
-        assert!(approx_eq_rel(0.0, 1e-7, 1e-6));
-        assert!(!approx_eq_rel(0.0, 1e-3, 1e-6));
-        // Relative regime for large values: 1e9 ± 100 is within 1e-6
-        // relative, but far outside 1e-6 absolute.
-        assert!(approx_eq_rel(1e9, 1e9 + 100.0, 1e-6));
-        assert!(!approx_eq_rel(1e9, 1e9 + 1e5, 1e-6));
-    }
-}

@@ -260,12 +260,6 @@ impl Design {
         self.nets.len()
     }
 
-    /// Number of ports.
-    #[must_use]
-    pub fn num_ports(&self) -> usize {
-        self.ports.len()
-    }
-
     /// Instance by id.
     #[must_use]
     pub fn inst(&self, id: InstId) -> &Instance {
@@ -537,7 +531,6 @@ mod tests {
         let d = small_design();
         assert_eq!(d.num_insts(), 3);
         assert_eq!(d.num_nets(), 4);
-        assert_eq!(d.num_ports(), 2);
         assert!(d.validate_connectivity().is_ok());
         assert!(d.validate_placement().is_ok());
         assert!(d.utilization() > 0.0 && d.utilization() < 1.0);

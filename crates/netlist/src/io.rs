@@ -307,7 +307,6 @@ mod tests {
         assert_eq!(d.name(), d2.name());
         assert_eq!(d.num_insts(), d2.num_insts());
         assert_eq!(d.num_nets(), d2.num_nets());
-        assert_eq!(d.num_ports(), d2.num_ports());
         assert_eq!(d.num_rows, d2.num_rows);
         assert_eq!(d.sites_per_row, d2.sites_per_row);
         for ((_, a), (_, b)) in d.insts().zip(d2.insts()) {

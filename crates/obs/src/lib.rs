@@ -531,12 +531,6 @@ impl MetricsHandle {
         }
     }
 
-    /// Whether any sink is attached.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        !self.sinks.is_empty()
-    }
-
     /// Adds `delta` to `counter` on every sink.
     #[inline]
     pub fn add(&self, counter: Counter, delta: u64) {
@@ -767,7 +761,6 @@ mod tests {
     #[test]
     fn disabled_handle_records_nothing_and_is_cheap() {
         let h = MetricsHandle::disabled();
-        assert!(!h.is_enabled());
         h.add(Counter::BbNodes, 5);
         let out = h.timed(Stage::Vm1Opt, || 42);
         assert_eq!(out, 42);
@@ -777,7 +770,6 @@ mod tests {
     fn telemetry_accumulates_counters_and_times() {
         let t = Arc::new(Telemetry::new());
         let h = MetricsHandle::of(t.clone());
-        assert!(h.is_enabled());
         h.add(Counter::SimplexPivots, 10);
         h.add(Counter::SimplexPivots, 5);
         h.incr(Counter::WindowsVisited);

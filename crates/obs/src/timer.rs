@@ -43,12 +43,6 @@ impl Stopwatch {
     pub fn elapsed_nanos(&self) -> u64 {
         u64::try_from(self.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
-
-    /// Elapsed time in whole milliseconds (saturating at `u64::MAX`).
-    #[must_use]
-    pub fn elapsed_ms(&self) -> u64 {
-        u64::try_from(self.elapsed().as_millis()).unwrap_or(u64::MAX)
-    }
 }
 
 #[cfg(test)]
@@ -61,6 +55,5 @@ mod tests {
         let a = sw.elapsed_nanos();
         let b = sw.elapsed_nanos();
         assert!(b >= a);
-        assert!(sw.elapsed_ms() <= sw.elapsed_nanos() / 1_000_000 + 1);
     }
 }

@@ -35,6 +35,5 @@ pub use global::{place, scatter, PlaceConfig};
 pub use refine::{greedy_refine, RefineStats};
 pub use rowmap::{RowMap, SpanMove};
 pub use verify::{
-    verify_against, verify_placement, DisplacementBounds, PlacementSnapshot, PlacementViolation,
-    VerifyReport,
+    verify_placement, DisplacementBounds, PlacementSnapshot, PlacementViolation, VerifyReport,
 };

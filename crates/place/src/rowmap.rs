@@ -83,18 +83,9 @@ impl RowMap {
             .all(|&(s, e, _)| e <= start || s >= end)
     }
 
-    /// Instances whose spans intersect `[start, end)` of `row`.
-    #[must_use]
-    pub fn occupants(&self, row: i64, start: i64, end: i64) -> Vec<InstId> {
-        let mut out = Vec::new();
-        self.occupants_into(row, start, end, &mut out);
-        out
-    }
-
-    /// Allocation-free variant of [`RowMap::occupants`]: clears `out` and
-    /// fills it with the instances whose spans intersect `[start, end)` of
-    /// `row`. Lets hot callers (window-problem construction) reuse one
-    /// buffer across windows.
+    /// Clears `out` and fills it with the instances whose spans intersect
+    /// `[start, end)` of `row`. Lets hot callers (window-problem
+    /// construction) reuse one buffer across windows.
     pub fn occupants_into(&self, row: i64, start: i64, end: i64, out: &mut Vec<InstId>) {
         out.clear();
         if row < 0 || row as usize >= self.rows.len() {
@@ -194,14 +185,6 @@ mod tests {
         let m = RowMap::build(&d);
         assert!(m.is_free(0, 0, 4, Some(InstId(0))));
         assert!(m.is_free(0, 2, 6, Some(InstId(0))), "sliding over itself");
-    }
-
-    #[test]
-    fn occupants_reports_overlapping() {
-        let d = design_with(&[(0, 0), (10, 0)]);
-        let m = RowMap::build(&d);
-        assert_eq!(m.occupants(0, 2, 11), vec![InstId(0), InstId(1)]);
-        assert_eq!(m.occupants(0, 4, 10), Vec::<InstId>::new());
     }
 
     #[test]

@@ -114,7 +114,7 @@ struct SnapCell {
 }
 
 /// An immutable capture of every instance's position, taken before an
-/// optimization pass so [`verify_against`] can check what the pass was
+/// optimization pass so [`verify_placement`] can check what the pass was
 /// allowed to change.
 #[derive(Clone, Debug)]
 pub struct PlacementSnapshot {
@@ -185,29 +185,15 @@ impl VerifyReport {
     }
 }
 
-/// Verifies the standalone invariants (in-core, no overlap). Equivalent
-/// to [`verify_against`] without a snapshot.
-pub fn verify_placement(design: &Design) -> VerifyReport {
-    verify_with(design, None, None, &MetricsHandle::disabled())
-}
-
-/// Verifies the standalone invariants plus the snapshot-relative ones:
-/// fixed instances unmoved, movable instances within `bounds` (when
-/// given; `None` skips the displacement check, e.g. between whole
-/// parameter sets where only legality and fixedness are invariant).
-pub fn verify_against(
-    design: &Design,
-    snapshot: &PlacementSnapshot,
-    bounds: Option<DisplacementBounds>,
-) -> VerifyReport {
-    verify_with(design, Some(snapshot), bounds, &MetricsHandle::disabled())
-}
-
-/// [`verify_against`] with metrics: charges wall-clock to
+/// Verifies the standalone invariants (in-core, no overlap) and, given a
+/// `snapshot`, the snapshot-relative ones: fixed instances unmoved,
+/// movable instances within `bounds` (when given; `None` skips the
+/// displacement check, e.g. between whole parameter sets where only
+/// legality and fixedness are invariant). Charges wall-clock to
 /// [`Stage::Audit`] and reports check/violation counts through
 /// [`Counter::AuditPlacementChecks`] /
 /// [`Counter::AuditPlacementViolations`].
-pub fn verify_with(
+pub fn verify_placement(
     design: &Design,
     snapshot: Option<&PlacementSnapshot>,
     bounds: Option<DisplacementBounds>,
@@ -316,7 +302,7 @@ mod tests {
     #[test]
     fn legal_placement_is_clean() {
         let d = small_design();
-        let r = verify_placement(&d);
+        let r = verify_placement(&d, None, None, &MetricsHandle::disabled());
         assert!(r.is_clean(), "{}", r.summary());
         assert!(r.checks() >= d.num_insts());
     }
@@ -330,7 +316,7 @@ mod tests {
             (i.site, i.row, i.orient)
         };
         d.move_inst(InstId(1), site, row, orient);
-        let r = verify_placement(&d);
+        let r = verify_placement(&d, None, None, &MetricsHandle::disabled());
         assert!(r
             .violations()
             .iter()
@@ -344,7 +330,7 @@ mod tests {
         d.move_inst(InstId(0), -3, 0, orient);
         d.move_inst(InstId(1), 0, d.num_rows + 5, orient);
         d.move_inst(InstId(2), i64::MAX, 0, orient);
-        let r = verify_placement(&d);
+        let r = verify_placement(&d, None, None, &MetricsHandle::disabled());
         let oob = r
             .violations()
             .iter()
@@ -361,7 +347,7 @@ mod tests {
         let inst = d.inst(InstId(0));
         let (site, row, orient) = (inst.site, inst.row, inst.orient);
         d.move_inst(InstId(0), site, row, orient.flipped());
-        let r = verify_against(&d, &snap, None);
+        let r = verify_placement(&d, Some(&snap), None, &MetricsHandle::disabled());
         assert!(
             r.violations()
                 .iter()
@@ -382,7 +368,7 @@ mod tests {
             dx_sites: 2,
             dy_rows: 1,
         };
-        let r = verify_against(&d, &snap, Some(tight));
+        let r = verify_placement(&d, Some(&snap), Some(tight), &MetricsHandle::disabled());
         assert!(r.violations().iter().any(
             |v| matches!(v, PlacementViolation::DisplacementExceeded { inst, .. } if inst.0 == 2)
         ));
@@ -391,7 +377,7 @@ mod tests {
             dx_sites: 50,
             dy_rows: 50,
         };
-        let r = verify_against(&d, &snap, Some(loose));
+        let r = verify_placement(&d, Some(&snap), Some(loose), &MetricsHandle::disabled());
         assert!(!r
             .violations()
             .iter()
@@ -405,13 +391,14 @@ mod tests {
         let inst = d.inst(InstId(3));
         let (site, row, orient) = (inst.site, inst.row, inst.orient);
         d.move_inst(InstId(3), site, row, orient.flipped());
-        let r = verify_against(
+        let r = verify_placement(
             &d,
-            &snap,
+            Some(&snap),
             Some(DisplacementBounds {
                 dx_sites: 0,
                 dy_rows: 0,
             }),
+            &MetricsHandle::disabled(),
         );
         assert!(r.is_clean(), "{}", r.summary());
     }
@@ -422,7 +409,7 @@ mod tests {
         let snap = PlacementSnapshot::capture(&d);
         let inv = d.library().cell_index("INV_X1").unwrap();
         d.add_inst("late", inv);
-        let r = verify_against(&d, &snap, None);
+        let r = verify_placement(&d, Some(&snap), None, &MetricsHandle::disabled());
         assert!(r
             .violations()
             .iter()
@@ -438,7 +425,7 @@ mod tests {
         d.move_inst(InstId(0), -1, 0, orient);
         let sink = Arc::new(Telemetry::new());
         let metrics = MetricsHandle::of(sink.clone());
-        let r = verify_with(&d, None, None, &metrics);
+        let r = verify_placement(&d, None, None, &metrics);
         assert_eq!(
             sink.counter(Counter::AuditPlacementChecks),
             r.checks() as u64

@@ -377,8 +377,8 @@ fn try_dm1(
     }
 
     // Connection tracks: nearest tracks of each pin toward the other.
-    let y_a = clamp_toward(a.track_lo, a.track_hi, (b.track_lo + b.track_hi) / 2);
-    let y_b = clamp_toward(b.track_lo, b.track_hi, y_a);
+    let y_a = ((b.track_lo + b.track_hi) / 2).clamp(a.track_lo, a.track_hi);
+    let y_b = y_a.clamp(b.track_lo, b.track_hi);
     let (lo, hi) = (y_a.min(y_b), y_a.max(y_b));
     let via_a = a.layer == Layer::M0;
     let via_b = b.layer == Layer::M0;
@@ -442,10 +442,6 @@ fn try_dm1(
         });
     }
     None
-}
-
-fn clamp_toward(lo: i64, hi: i64, toward: i64) -> i64 {
-    toward.clamp(lo, hi)
 }
 
 fn commit_dm1(
@@ -592,7 +588,7 @@ mod tests {
     }
 
     #[test]
-    fn disabling_dm1_gives_zero_dm1() {
+    fn disabling_dm1_never_adds_dm1() {
         let lib = Library::synthetic_7nm(CellArch::ClosedM1);
         let mut d = GeneratorConfig::profile(DesignProfile::M0)
             .with_insts(200)

@@ -33,22 +33,6 @@ pub enum Function {
 }
 
 impl Function {
-    /// Number of signal input pins.
-    #[must_use]
-    pub fn num_inputs(self) -> usize {
-        match self {
-            Function::Inv | Function::Buf => 1,
-            Function::Nand2
-            | Function::Nor2
-            | Function::And2
-            | Function::Or2
-            | Function::Xor2
-            | Function::Xnor2 => 2,
-            Function::Aoi21 | Function::Oai21 | Function::Mux2 => 3,
-            Function::Dff => 2, // D and CK
-        }
-    }
-
     /// Whether the cell is a sequential element.
     #[must_use]
     pub fn is_sequential(self) -> bool {
@@ -297,7 +281,6 @@ mod tests {
 
     #[test]
     fn function_metadata() {
-        assert_eq!(Function::Aoi21.num_inputs(), 3);
         assert_eq!(Function::Dff.input_names(), &["D", "CK"]);
         assert_eq!(Function::Dff.output_name(), "Q");
         assert_eq!(Function::Inv.output_name(), "ZN");

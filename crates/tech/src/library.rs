@@ -316,7 +316,7 @@ mod tests {
                 assert_eq!(cell.pins.iter().filter(|p| p.dir == PinDir::Out).count(), 1);
                 assert_eq!(
                     cell.pins.iter().filter(|p| p.dir == PinDir::In).count(),
-                    cell.function.num_inputs()
+                    cell.function.input_names().len()
                 );
             }
         }
@@ -335,7 +335,7 @@ mod tests {
                 // Pin centre sits on a track centre (site pitch).
                 let cx = pin.x_center(Orient::North, cell.width);
                 let col = tech.x_to_site(cx);
-                assert_eq!(cx, tech.track_center_x(col));
+                assert_eq!(cx, tech.site_to_x(col) + tech.site_width / 2);
             }
             // Boundary power pins exist and sit at columns 0 and w-1.
             let vdd = cell.pin("VDD").unwrap();

@@ -123,12 +123,6 @@ impl Technology {
         y.nm().div_euclid(self.row_height.nm())
     }
 
-    /// Center x of the M1 track in site `site`.
-    #[must_use]
-    pub fn track_center_x(&self, site: i64) -> Dbu {
-        self.site_to_x(site) + self.site_width / 2
-    }
-
     /// Maximum dM1 vertical span in nanometres (γ · H).
     #[must_use]
     pub fn gamma_span(&self) -> Dbu {
@@ -173,12 +167,5 @@ mod tests {
     fn gamma_span_is_three_rows_by_default() {
         let t = Technology::for_arch(CellArch::ClosedM1);
         assert_eq!(t.gamma_span(), Dbu(1080));
-    }
-
-    #[test]
-    fn track_centers_are_on_site_pitch() {
-        let t = Technology::for_arch(CellArch::OpenM1);
-        assert_eq!(t.track_center_x(0), Dbu(24));
-        assert_eq!(t.track_center_x(3) - t.track_center_x(2), t.site_width);
     }
 }

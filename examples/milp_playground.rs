@@ -8,6 +8,7 @@
 //! cargo run --release --example milp_playground
 //! ```
 
+use std::sync::Arc;
 use vm1_core::milp::{build_milp, extract_assignment, warm_start};
 use vm1_core::problem::{Overrides, WindowProblem};
 use vm1_core::solver::dfs_solve;
@@ -15,6 +16,7 @@ use vm1_core::window::Window;
 use vm1_core::Vm1Config;
 use vm1_milp::{solve, SolveParams};
 use vm1_netlist::generator::{DesignProfile, GeneratorConfig};
+use vm1_obs::{Counter, MetricsHandle, Telemetry};
 use vm1_place::{place, PlaceConfig, RowMap};
 use vm1_tech::{CellArch, Library};
 
@@ -65,13 +67,15 @@ fn main() {
     println!("  constraints   : {}", model.num_constraints());
 
     let cur = prob.current_assign();
+    let sink = Arc::new(Telemetry::new());
     let params = SolveParams {
         warm_start: Some(warm_start(&prob, &model, &vars, &cur)),
+        metrics: MetricsHandle::of(sink.clone()),
         ..SolveParams::default()
     };
     let sol = solve(&model, &params);
     println!("  status        : {:?}", sol.status);
-    println!("  B&B nodes     : {}", sol.nodes);
+    println!("  B&B nodes     : {}", sink.counter(Counter::BbNodes));
     println!("  objective     : {:.1}", sol.objective);
 
     let milp_assign = extract_assignment(&vars, &sol.values);

@@ -90,7 +90,14 @@ thread_diff() {
     done
 }
 thread_diff det "$smoke_dir/det.def"
-thread_diff det_milp "$smoke_dir/micro.def" --solver milp
+# The MILP runs are also the certified runs: with --audit every
+# branch-and-bound window solve records an optimality certificate that
+# the exact-rational checker (vm1-certify) must accept; a rejected
+# certificate exits 6. MILP solves are ~100x slower than DFS, so they
+# run on the micro design rather than on det.def. Certifying does not
+# change the placement or the solve counters, only adds the
+# cert_*/audit_placement_* counts, which must agree across threads too.
+thread_diff det_milp "$smoke_dir/micro.def" --solver milp --audit
 # The router runs on one thread, so its determinism is checked by
 # repetition: two `report` runs on the same design must write the same
 # route counters (searches, heap pops, box widenings, overflow,
@@ -102,16 +109,6 @@ done
 grep -q '^route_heap_pops,[1-9]' "$smoke_dir/report_1.csv"
 diff <(counters "$smoke_dir/report_1.csv") <(counters "$smoke_dir/report_2.csv")
 echo "determinism OK"
-
-echo "== certify: proof-carrying MILP solves on a generated micro design =="
-# `opt --audit --solver milp` is the certified run: every
-# branch-and-bound window solve records an optimality certificate that
-# the exact-rational checker (vm1-certify) must accept; a rejected
-# certificate exits 6. MILP solves are ~100x slower than DFS, so this
-# stage uses the micro design of the determinism stage rather than the
-# audit smoke above.
-cargo run --release -q -p vm1-flow --bin vm1dp -- \
-    opt --audit --solver milp -i "$smoke_dir/micro.def" -o "$smoke_dir/micro_opt.def"
 
 echo "== perfbench: build and smoke-run the gate benchmark =="
 # perfbench/ is a package of its own (empty [workspace]) built against
